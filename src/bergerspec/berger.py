@@ -10,7 +10,10 @@ eigenvalue is
 with A = k(k+2) - q^2, B = q^2 and x = t^{-3}.  After division by t every
 branch is affine in x with non-negative integer coefficients, so sorting
 the spectrum reduces to an exact lower-envelope computation over a family
-of lines.  All branch arithmetic below is done with fractions.Fraction;
+of lines.  The i-th smallest value as a function of x is the i-th level of
+that line arrangement; `kth_distinct_piecewise` walks it from line to line
+in integer arithmetic (the k-level walk of Edelsbrunner and Welzl, 1986).
+All branch arithmetic below is done with integers or fractions.Fraction;
 floating point enters only through the final multiplication by t.
 
 Three one-parameter families of branches recur when the spectrum is
@@ -219,29 +222,45 @@ class PiecewiseCell:
     branch: AffineBranch
 
 
-def _partition(
+def _level_walk(
     pool: list[AffineBranch], i: int, x_max: Fraction
 ) -> list[PiecewiseCell] | None:
-    cuts = set()
-    for a in range(len(pool)):
-        for b in range(a + 1, len(pool)):
-            x = branch_crossing(pool[a], pool[b])
-            if x is not None and x < x_max:
-                cuts.add(x)
-    edges = [Fraction(0)] + sorted(cuts) + [x_max]
+    """Cells of the i-th level of the distinct lines `pool` on (0, x_max].
+
+    None when the pool has fewer than i lines.
+    """
+    if len(pool) < i:
+        return None
+    # just right of x = 0 the lines rank by (A, B)
+    cur = sorted(pool, key=lambda br: (br.A, br.B))[i - 1]
+    p, q = 0, 1  # the walk is at x = p/q
+    lo = Fraction(0)
     cells: list[PiecewiseCell] = []
-    for lo, hi in zip(edges, edges[1:]):
-        mid = (lo + hi) / 2
-        values = sorted({br.value_at(mid) for br in pool})
-        if len(values) < i:
-            return None
-        target = values[i - 1]
-        winner = next(br for br in pool if br.value_at(mid) == target)
-        if cells and cells[-1].branch.same_line(winner):
-            cells[-1] = PiecewiseCell(cells[-1].lo, hi, cells[-1].branch)
-        else:
-            cells.append(PiecewiseCell(lo, hi, winner))
-    return cells
+    while True:
+        # earliest crossing n/d of the current line in (p/q, x_max); x_max if none
+        a, b = cur.A, cur.B
+        n, d = x_max.numerator, x_max.denominator
+        for br in pool:
+            if br.B != b:
+                cn, cd = (br.A - a, b - br.B) if b > br.B else (a - br.A, br.B - b)
+                if cn * q > p * cd and cn * d < n * cd:
+                    n, d = cn, cd
+        if (n, d) == (x_max.numerator, x_max.denominator):
+            cells.append(PiecewiseCell(lo, x_max, cur))
+            return cells
+        # lines below n/d keep their ranks and the lines through it leave
+        # in slope order, so position i passes to through[i - 1 - below]
+        level = a * d + b * n
+        below = sum(br.A * d + br.B * n < level for br in pool)
+        through = sorted(
+            (br for br in pool if br.A * d + br.B * n == level), key=lambda br: br.B
+        )
+        nxt = through[i - 1 - below]
+        if nxt is not cur:
+            hi = Fraction(n, d)
+            cells.append(PiecewiseCell(lo, hi, cur))
+            lo, cur = hi, nxt
+        p, q = n, d
 
 
 def kth_distinct_piecewise(i: int, x_max: RationalLike) -> list[PiecewiseCell]:
@@ -255,6 +274,14 @@ def kth_distinct_piecewise(i: int, x_max: RationalLike) -> list[PiecewiseCell]:
     distinct value jumps there; the cell branch reports the two-sided
     limit instead.  The branch pool grows until every excluded branch
     provably exceeds the computed envelope everywhere on the interval.
+
+    The cells come from a walk along the i-th level of the pool's lines:
+    from the current line, jump to its earliest crossing, rank the lines
+    at that point by integer cross-multiplication and continue on the
+    line that holds position i.  Each step costs O(n) integer comparisons
+    for a pool of n lines, and there is one step per emitted breakpoint,
+    plus one per point where three or more lines meet and the level keeps
+    its line.
     """
     if i < 1:
         raise ValueError(f"position must be a positive integer, got {i!r}")
@@ -273,7 +300,7 @@ def _cells_for(i: int, xm: Fraction) -> tuple[PiecewiseCell, ...]:
             for m in enumerate_modes(k_pool)
             if m.A > 0 and (a_cap is None or m.A <= a_cap)
         ]
-        cells = _partition(pool, i, xm) if pool else None
+        cells = _level_walk(pool, i, xm)
         if cells is not None:
             # branch values are nondecreasing in x, so the cell maximum sits
             # at the right endpoint

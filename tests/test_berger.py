@@ -1,5 +1,6 @@
 """Exact-engine tests: modes, branch arithmetic, envelopes, Tanno forms."""
 
+import csv
 import random
 from fractions import Fraction
 
@@ -8,8 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bergerspec.berger import (
+    AffineBranch,
     Mode,
+    PiecewiseCell,
     SpectrumEntry,
+    _level_walk,
     alpha_branch,
     beta_branch,
     branch_crossing,
@@ -27,6 +31,7 @@ from bergerspec.berger import (
     spectrum_with_multiplicity,
     tanno_lambda1,
 )
+from bergerspec.cli import main
 
 
 def test_mode_validation():
@@ -192,6 +197,15 @@ def test_piecewise_validation():
         kth_distinct_piecewise(1, 0)
 
 
+def _level_value(x, i):
+    """The i-th smallest nonzero line value A + B*x, each mode counted once.
+
+    This is the two-sided limit the piecewise cells report: unlike the
+    i-th distinct value it does not jump where two branch values collide.
+    """
+    return [v for v, ms in distinct_spectrum_at(x, i + 1) for _ in ms][1:][i - 1]
+
+
 _PARTITIONS = {i: kth_distinct_piecewise(i, 12) for i in range(1, 6)}
 
 
@@ -205,18 +219,87 @@ def test_piecewise_matches_distinct_everywhere(i, num, den):
     x = Fraction(num, den)
     if x > 12:
         x = Fraction(num, 20 * den)
-    cells = _PARTITIONS[i]
-    cell = next(c for c in cells if c.lo < x <= c.hi)
-    got = cell.branch.value_at(x)
-    if any(x == c.hi for c in cells[:-1]):
-        # at a breakpoint two branch values collide: the distinct count
-        # drops by one for that single x, so the i-th distinct value jumps
-        # above the envelope there; the cell reports the two-sided limit
-        ranked = [v for v, _ in distinct_spectrum_at(x, i + 1)]
-        assert got in ranked
-        assert ranked[i] >= got
-    else:
-        assert got == distinct_spectrum_at(x, i + 1)[i][0]
+    cell = next(c for c in _PARTITIONS[i] if c.lo < x <= c.hi)
+    # exact at every x, breakpoints and crossings inside a cell included
+    assert cell.branch.value_at(x) == _level_value(x, i)
+
+
+def _midpoint_partition(pool, i, x_max):
+    """Brute-force oracle: cut at every pairwise crossing, rank each midpoint."""
+    cuts = set()
+    for a in range(len(pool)):
+        for b in range(a + 1, len(pool)):
+            x = branch_crossing(pool[a], pool[b])
+            if x is not None and x < x_max:
+                cuts.add(x)
+    edges = [Fraction(0)] + sorted(cuts) + [x_max]
+    cells = []
+    for lo, hi in zip(edges, edges[1:]):
+        mid = (lo + hi) / 2
+        values = sorted({br.value_at(mid) for br in pool})
+        if len(values) < i:
+            return None
+        target = values[i - 1]
+        winner = next(br for br in pool if br.value_at(mid) == target)
+        if cells and cells[-1].branch.same_line(winner):
+            cells[-1] = PiecewiseCell(cells[-1].lo, hi, cells[-1].branch)
+        else:
+            cells.append(PiecewiseCell(lo, hi, winner))
+    return cells
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    # small coefficients make three or more lines meet at one point often
+    lines=st.lists(
+        st.tuples(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=6)),
+        min_size=1,
+        max_size=14,
+        unique=True,
+    ),
+    i=st.integers(min_value=1, max_value=15),
+    x_max=st.fractions(min_value=Fraction(1, 20), max_value=20, max_denominator=30),
+)
+def test_level_walk_matches_midpoint_oracle(lines, i, x_max):
+    pool = [AffineBranch(a, b) for a, b in lines]
+    assert _level_walk(pool, i, x_max) == _midpoint_partition(pool, i, x_max)
+
+
+def test_level_walk_through_a_triple_point():
+    # 1 + 2x, 2 + x and 3 meet at x = 1, value 3; 4 is met at 3/2 and 2
+    pool = [AffineBranch(1, 2), AffineBranch(2, 1), AffineBranch(3, 0), AffineBranch(4, 0)]
+    want = {
+        1: [(0, 1, 1, 2), (1, 3, 3, 0)],
+        # the middle line of the pencil keeps its level through the point
+        2: [(0, 2, 2, 1), (2, 3, 4, 0)],
+        3: [(0, 1, 3, 0), (1, Fraction(3, 2), 1, 2), (Fraction(3, 2), 2, 4, 0), (2, 3, 2, 1)],
+        4: [(0, Fraction(3, 2), 4, 0), (Fraction(3, 2), 3, 1, 2)],
+    }
+    for i, cells in want.items():
+        got = _level_walk(pool, i, Fraction(3))
+        assert [(c.lo, c.hi, c.branch.A, c.branch.B) for c in got] == cells
+        assert got == _midpoint_partition(pool, i, Fraction(3))
+    assert _level_walk(pool, 5, Fraction(3)) is None
+
+
+def test_piecewise_index_twenty_to_fifty(capsys):
+    # bounded work: cost grows with the number of breakpoints, so a
+    # high position over a long interval stays fast enough for a unit test
+    assert main(["piecewise", "--index", "20", "--xmax", "50"]) == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if l and not l.startswith("#")]
+    header, *rows = csv.reader(lines)
+    cells = [
+        (Fraction(lo), Fraction(hi), AffineBranch(int(a), int(b)))
+        for lo, hi, a, b, _ in rows
+    ]
+    assert header == ["lo", "hi", "A", "B", "mode"]
+    assert cells[0][0] == 0 and cells[-1][1] == 50
+    for (_, hi, left), (lo, _, right) in zip(cells, cells[1:]):
+        assert hi == lo
+        assert left.value_at(hi) == right.value_at(hi)
+    for lo, hi, branch in cells:
+        mid = (lo + hi) / 2
+        assert branch.value_at(mid) == _level_value(mid, 20)
 
 
 def test_slot_table_shape():
