@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Union
 
 RationalLike = Union[int, Fraction, str]
@@ -272,8 +271,14 @@ def kth_distinct_piecewise(i: int, x_max: RationalLike) -> list[PiecewiseCell]:
     breakpoints.  At a breakpoint where two branch values collide, the
     number of distinct values drops by one for that single x, so the i-th
     distinct value jumps there; the cell branch reports the two-sided
-    limit instead.  The branch pool grows until every excluded branch
-    provably exceeds the computed envelope everywhere on the interval.
+    limit instead.
+
+    The pool of lines is fixed in one pass.  Let top be the i-th nonzero
+    line value at x_max.  Every line is nondecreasing in x, so the level
+    never exceeds top on (0, x_max], and a line with A > top lies strictly
+    above it there.  The pool is every line with 0 < A <= top; A >= 2k
+    bounds the modes to enumerate by k <= top/2, and the pool holds
+    O(top log top) lines.
 
     The cells come from a walk along the i-th level of the pool's lines:
     from the current line, jump to its earliest crossing, rank the lines
@@ -286,36 +291,12 @@ def kth_distinct_piecewise(i: int, x_max: RationalLike) -> list[PiecewiseCell]:
     if i < 1:
         raise ValueError(f"position must be a positive integer, got {i!r}")
     xm = _as_positive_fraction(x_max, "x_max")
-    return list(_cells_for(i, xm))
-
-
-@lru_cache(maxsize=None)
-def _cells_for(i: int, xm: Fraction) -> tuple[PiecewiseCell, ...]:
-    # pure search, safe to memoize; cells are frozen so sharing is harmless
-    k_pool = 16
-    a_cap: Fraction | None = None
-    while True:
-        pool = [
-            branch_of(m)
-            for m in enumerate_modes(k_pool)
-            if m.A > 0 and (a_cap is None or m.A <= a_cap)
-        ]
-        cells = _level_walk(pool, i, xm)
-        if cells is not None:
-            # branch values are nondecreasing in x, so the cell maximum sits
-            # at the right endpoint
-            envelope_max = max(c.branch.value_at(c.hi) for c in cells)
-            # complete once every excluded branch (by k or by the A cap)
-            # provably stays above the envelope: its value is at least its A,
-            # and A >= 2k
-            if 2 * (k_pool + 1) > envelope_max and (a_cap is None or a_cap >= envelope_max):
-                return tuple(cells)
-            # enlarging the pool can only lower the envelope, so this round's
-            # maximum is a sound cap for the next round
-            a_cap = envelope_max
-            k_pool = max(2 * k_pool, int(envelope_max // 2) + 1)
-        else:
-            k_pool *= 2
+    # one entry per mode; entry 0 is the constant mode (0, 0)
+    top = [v for v, modes in distinct_spectrum_at(xm, i + 1) for _ in modes][i]
+    pool = [branch_of(m) for m in enumerate_modes(int(top) // 2) if 0 < m.A <= top]
+    cells = _level_walk(pool, i, xm)
+    assert cells is not None  # the i lines at or below top at x_max are in the pool
+    return cells
 
 
 def eleven_slot_table() -> list[list[PiecewiseCell]]:

@@ -16,6 +16,7 @@ crosses zero twice; between the two roots the slices have Jacobi index 5
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -165,14 +166,9 @@ def page_constants(path: str | None = None, strict: bool = True) -> PageConstant
     return consts
 
 
-_DEFAULT: PageConstants | None = None
-
-
+@functools.cache
 def _default_constants() -> PageConstants:
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = page_constants()
-    return _DEFAULT
+    return page_constants()
 
 
 def _check_domain(r: float) -> None:

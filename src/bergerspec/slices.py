@@ -45,10 +45,13 @@ class SliceGeometry:
     ambient: EinsteinAmbient
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.f) and self.f > 0):
-            raise ValueError(f"coefficient f must be finite and positive, got {self.f!r}")
-        if not (math.isfinite(self.w) and self.w > 0):
-            raise ValueError(f"coefficient w must be finite and positive, got {self.w!r}")
+        # w^2 is checked too: it under- or overflows where f and w do not
+        for name, value in (("f", self.f), ("w", self.w), ("w^2", self.w2)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"slice parameter r = {self.r!r} is out of range: "
+                    f"coefficient {name} = {value!r} is not finite and positive"
+                )
 
     @property
     def w2(self) -> float:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bergerspec import berger
 from bergerspec.berger import (
     AffineBranch,
     Mode,
@@ -280,6 +281,34 @@ def test_level_walk_through_a_triple_point():
         assert [(c.lo, c.hi, c.branch.A, c.branch.B) for c in got] == cells
         assert got == _midpoint_partition(pool, i, Fraction(3))
     assert _level_walk(pool, 5, Fraction(3)) is None
+
+
+def test_piecewise_walks_once_over_the_lines_below_top(monkeypatch):
+    pools = []
+
+    def spy(pool, i, x_max):
+        pools.append(pool)
+        return _level_walk(pool, i, x_max)
+
+    monkeypatch.setattr(berger, "_level_walk", spy)
+    kth_distinct_piecewise(20, 50)
+    top = _level_value(50, 20)
+    assert len(pools) == 1
+    want = [(m.A, m.B) for m in enumerate_modes(int(top)) if 0 < m.A <= top]
+    assert sorted((br.A, br.B) for br in pools[0]) == sorted(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    i=st.integers(min_value=1, max_value=20),
+    x_max=st.fractions(min_value=Fraction(1, 1000), max_value=50, max_denominator=1000),
+)
+def test_piecewise_pool_is_complete(i, x_max):
+    # lines with A > top never reach the level, so a strictly larger pool
+    # must give the same cells
+    bound = 2 * _level_value(x_max, i) + 8
+    wider = [branch_of(m) for m in enumerate_modes(int(bound)) if 0 < m.A <= bound]
+    assert kth_distinct_piecewise(i, x_max) == _level_walk(wider, i, x_max)
 
 
 def test_piecewise_index_twenty_to_fifty(capsys):

@@ -179,6 +179,24 @@ def test_index_page_domain(capsys):
     assert run(capsys, "index", "page", "--scan", "0.5", "3.5", "4")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["page", "--r", "1e-200"],
+        ["page", "--scan", "1e-200", "1", "3"],
+        ["cp2", "--r", "1e200"],
+        ["cp2", "--r", "1e-200"],
+    ],
+)
+def test_index_extreme_radius_is_a_domain_error(capsys, argv):
+    # w^2 or f under- or overflows; the error names r, not the coefficient
+    code, _, err = run(capsys, "index", *argv)
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert "slice parameter r = " in err
+    assert "Traceback" not in err
+
+
 def test_index_page_corrupt_config(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("a = 0.5\nf_const = 1.3\nC = 0.48\nD = 0.69\n")
