@@ -24,6 +24,7 @@ l with A = l(l+2), B = 0.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Union
@@ -143,49 +144,48 @@ def _as_positive_fraction(x: RationalLike, name: str) -> Fraction:
     return value
 
 
-def _modes_with_value_below(x: Fraction, bound: int) -> dict[int, list[Mode]]:
-    """Group modes with A + B*x <= bound by the numerator of their value.
-
-    Values are handled over the common denominator of x, so the scan is
-    pure integer arithmetic: with x = P/Q the value numerator is
-    k(k+2) Q + q^2 (P - Q), monotone in q for fixed k.  Each q-scan stops
-    at the first excluded mode, and A >= 2k caps k, which keeps the sweep
-    proportional to the output size even for extreme x.
-    """
-    P, Q = x.numerator, x.denominator
-    slope = P - Q
-    threshold = bound * Q
-    groups: dict[int, list[Mode]] = {}
-    for k in range(bound // 2 + 1):
-        base = k * (k + 2) * Q
-        qs = range(k % 2, k + 1, 2) if slope >= 0 else range(k, -1, -2)
-        for q in qs:
-            num = base + q * q * slope
-            if num > threshold:
-                break
-            groups.setdefault(num, []).append(Mode(k, q))
-    return groups
-
-
 def distinct_spectrum_at(
     x: RationalLike, count: int
 ) -> list[tuple[Fraction, list[Mode]]]:
     """The `count` smallest distinct branch values A + B*x, exactly.
 
-    Each returned value carries every mode attaining it.  Completeness
-    comes from collecting every mode below a value bound and growing the
-    bound until `count` distinct values fit under it.
+    Each value carries every mode attaining it, ordered by k and then by
+    q, ascending for x >= 1 and descending for x < 1.  The values are a
+    k-way merge, in integers, of one sorted stream per k: with x = P/Q,
+    stream k yields k(k+2) Q + q^2 (P - Q), nondecreasing as q runs up
+    from k mod 2 (x >= 1) or down from k (x < 1).  Stream k + 2 starts
+    strictly above stream k, so it joins the heap when the first entry of
+    stream k leaves it.  The merge stops at the first numerator past the
+    `count`-th value: the cost is proportional to the modes returned,
+    times the log of the number of open streams.
     """
     xf = _as_positive_fraction(x, "x")
-    if count < 1:
+    if not isinstance(count, int) or count < 1:
         raise ValueError(f"count must be a positive integer, got {count!r}")
-    bound = 4 * count
+    P, Q = xf.numerator, xf.denominator
+    slope = P - Q
+    sign = 1 if slope >= 0 else -1  # heap keys carry sign*q, so ties pop in stream order
+
+    def first_q(k: int) -> int:
+        return k % 2 if slope >= 0 else k
+
+    def entry(k: int, q: int) -> tuple[int, int, int]:
+        return (k * (k + 2) * Q + q * q * slope, k, sign * q)
+
+    heap = [entry(0, 0), entry(1, first_q(1))]
+    groups: list[tuple[int, list[Mode]]] = []
     while True:
-        groups = _modes_with_value_below(xf, bound)
-        if len(groups) >= count:
-            nums = sorted(groups)[:count]
-            return [(Fraction(n, xf.denominator), groups[n]) for n in nums]
-        bound *= 2
+        num, k, sq = heapq.heappop(heap)
+        if not groups or num != groups[-1][0]:
+            if len(groups) == count:
+                return [(Fraction(n, Q), modes) for n, modes in groups]
+            groups.append((num, []))
+        q = sign * sq
+        groups[-1][1].append(Mode(k, q))
+        if 0 <= q + 2 * sign <= k:
+            heapq.heappush(heap, entry(k, q + 2 * sign))
+        if q == first_q(k):
+            heapq.heappush(heap, entry(k + 2, first_q(k + 2)))
 
 
 def spectrum_with_multiplicity(

@@ -34,7 +34,7 @@ from .berger import (
     kth_distinct_piecewise,
     spectrum_with_multiplicity,
 )
-from .jacobi import jacobi_shift
+from .jacobi import IndexNullityReport, jacobi_shift
 from .page import (
     PageConfigError,
     PageConstants,
@@ -213,14 +213,12 @@ def _page_setup(args: argparse.Namespace) -> PageConstants:
     return page_constants(path=args.page_config) if args.page_config else page_constants()
 
 
-def _index_row(r: float, geom, report) -> Row:
-    shift = jacobi_shift(geom.ambient)
-    first_shifted = slice_spectrum(geom, 2)[1].value - shift
+def _index_row(r: float, report: IndexNullityReport) -> Row:
     return {
         "r": r,
         "index": report.index,
         "nullity": report.nullity,
-        "first_shifted": first_shifted,
+        "first_shifted": report.first_shifted,
         "bound": report.truncation_bound,
     }
 
@@ -237,9 +235,8 @@ def handle_index(args: argparse.Namespace) -> Table:
         radii = [args.r] if args.r else _scan_grid(args.scan, positive=True)
         rows = []
         for r in radii:
-            geom = cp2_slice(r)
-            report = slice_index_nullity(geom, args.depth)
-            rows.append(_index_row(r, geom, report))
+            report = slice_index_nullity(cp2_slice(r), args.depth)
+            rows.append(_index_row(r, report))
         return comments, fields, rows
     consts = _page_setup(args)
     r1, r2 = page_transition_roots(args.tol, consts)
@@ -253,9 +250,8 @@ def handle_index(args: argparse.Namespace) -> Table:
     radii = [args.r] if args.r else _scan_grid(args.scan, upper=math.pi)
     rows = []
     for r in radii:
-        geom = page_slice(r, consts)
         report = page_index_nullity(r, args.depth, constants=consts)
-        rows.append(_index_row(r, geom, report))
+        rows.append(_index_row(r, report))
     return comments, fields, rows
 
 

@@ -15,7 +15,7 @@ value seen, so a truncated spectrum certifies its own completeness
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .berger import SpectrumEntry
 
@@ -65,7 +65,7 @@ def jacobi_spectrum(laplace: list[SpectrumEntry], shift: float) -> list[Spectrum
         raise ValueError("laplace spectrum must be sorted ascending")
     if not any(v == 0 for v in values):
         raise ValueError("laplace spectrum must contain the zero eigenvalue")
-    return [replace(e, value=e.value - shift) for e in laplace]
+    return [SpectrumEntry(e.value - shift, e.multiplicity, e.source) for e in laplace]
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,10 @@ class IndexNullityReport:
     witnesses lists (eigenvalue, multiplicity, shifted value) for every
     entry counted in the index or the nullity.  truncation_bound is the
     largest shifted value present in the input, certifying that no entry
-    below it was missed by truncation.
+    below it was missed by truncation.  first_shifted is the second
+    entry's shifted value: for distinct eigenvalues starting at zero, as
+    slice spectra are, the first nonzero eigenvalue minus the shift (None
+    for a one-entry spectrum).
     """
 
     parameter: float
@@ -85,6 +88,7 @@ class IndexNullityReport:
     zero_tolerance: float
     truncation_bound: float
     notes: tuple[str, ...] = field(default=())
+    first_shifted: float | None = None
 
 
 def index_nullity(
@@ -126,6 +130,7 @@ def index_nullity(
         zero_tolerance=zero_tolerance,
         truncation_bound=values[-1],
         notes=tuple(notes),
+        first_shifted=values[1] if len(values) > 1 else None,
     )
 
 

@@ -33,6 +33,8 @@ from bergerspec.berger import (
     tanno_lambda1,
 )
 from bergerspec.cli import main
+from bergerspec.page import page_slice
+from bergerspec.slices import cp2_slice
 
 
 def test_mode_validation():
@@ -129,6 +131,63 @@ def test_distinct_spectrum_validation():
         distinct_spectrum_at(-1, 3)
     with pytest.raises(ValueError):
         distinct_spectrum_at(1, 0)
+
+
+@pytest.mark.parametrize("count", [2.5, "3"])
+def test_distinct_spectrum_rejects_non_integer_count(count):
+    with pytest.raises(ValueError, match="count must be a positive integer"):
+        distinct_spectrum_at(2, count)
+
+
+def _distinct_spectrum_oracle(x: Fraction, v: Fraction) -> list[tuple[Fraction, list[Mode]]]:
+    """Every distinct value up to v by full enumeration, modes in scan order.
+
+    A + B x = k(k+2) - q^2 (1 - x) >= 2k + k^2 min(x, 1), which bounds the
+    k that can reach v.
+    """
+    k_max = 0
+    while 2 * (k_max + 1) + (k_max + 1) ** 2 * min(x, 1) <= v:
+        k_max += 1
+    groups: dict[Fraction, list[Mode]] = {}
+    for m in enumerate_modes(k_max):
+        value = m.A + m.B * x
+        if value <= v:
+            groups.setdefault(value, []).append(m)
+    order = (lambda m: (m.k, m.q)) if x >= 1 else (lambda m: (m.k, -m.q))
+    return [(value, sorted(groups[value], key=order)) for value in sorted(groups)]
+
+
+_SWEEP_X = st.one_of(
+    st.fractions(min_value=Fraction(1, 60), max_value=Fraction(59, 60), max_denominator=60),
+    st.just(Fraction(1)),
+    st.fractions(min_value=Fraction(61, 60), max_value=60, max_denominator=60),
+    st.floats(min_value=1e-3, max_value=1e3).map(lambda r: cp2_slice(r).exact_x()),
+    st.floats(min_value=1e-2, max_value=3.13).map(lambda r: page_slice(r).exact_x()),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=_SWEEP_X, count=st.integers(min_value=1, max_value=60))
+def test_distinct_spectrum_matches_enumeration(x, count):
+    got = distinct_spectrum_at(x, count)
+    assert len(got) == count
+    assert got == _distinct_spectrum_oracle(x, got[-1][0])
+
+
+def test_distinct_spectrum_work_is_output_bounded(monkeypatch):
+    # every Mode built is a mode returned: no value bound, no second pass
+    built = []
+
+    def counting_mode(k, q):
+        built.append((k, q))
+        return Mode(k, q)
+
+    monkeypatch.setattr(berger, "Mode", counting_mode)
+    for x, count in ((cp2_slice(1e3).exact_x(), 25), (Fraction(1), 200)):
+        built.clear()
+        got = distinct_spectrum_at(x, count)
+        assert len(got) == count
+        assert len(built) == sum(len(modes) for _, modes in got)
 
 
 BREAKPOINTS = [

@@ -139,6 +139,25 @@ def test_index_cp2(capsys):
     assert float(rows[0]["first_shifted"]) == pytest.approx(6.5)
 
 
+@pytest.mark.parametrize("space", ["cp2", "page"])
+def test_index_scan_builds_one_spectrum_per_row(capsys, monkeypatch, space):
+    from bergerspec import cli, slices
+
+    calls = []
+    original = slices.slice_spectrum
+
+    def counting(geom, depth):
+        calls.append(depth)
+        return original(geom, depth)
+
+    for module in (cli, slices):
+        monkeypatch.setattr(module, "slice_spectrum", counting)
+    code, out, _ = run(capsys, "index", space, "--scan", "0.5", "2.5", "5", "--depth", "9")
+    assert code == 0
+    assert len(csv_rows(out)[1]) == 5
+    assert calls == [9] * 5
+
+
 def test_index_cp2_domain_error(capsys):
     code, _, err = run(capsys, "index", "cp2", "--r", "-1")
     assert code == 2

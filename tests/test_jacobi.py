@@ -81,6 +81,8 @@ def test_index_nullity_report_fields():
     assert rep.zero_tolerance == 1e-9
     assert rep.truncation_bound == 6.5
     assert rep.witnesses == ((0.0, 1, -1.5),)
+    assert rep.first_shifted == 6.5
+    assert index_nullity([SpectrumEntry(-1.5, 1)], 1e-9).first_shifted is None
 
 
 def test_index_nullity_validation():

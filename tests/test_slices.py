@@ -113,6 +113,15 @@ def test_slice_index_truncation_guard():
         slice_index_nullity(g, 1)  # only the constant mode, bound below shift
 
 
+def test_report_first_shifted_is_the_first_nonzero_value():
+    # the CLI's first_shifted column: same float as a separate depth-2 spectrum
+    for geom in (cp2_slice(0.05), cp2_slice(1.0), cp2_slice(300.0), synthetic_slice(0.9)):
+        shift = jacobi_shift(geom.ambient)
+        for depth in (2, 8, 25):
+            rep = slice_index_nullity(geom, depth)
+            assert rep.first_shifted == slice_spectrum(geom, 2)[1].value - shift
+
+
 def test_synthetic_slice_round_spectrum():
     # f = sin^2 r, w = sin r is a round 3-sphere of radius sin r, so the
     # spectrum must be k(k+2)/sin^2 r with multiplicity (k+1)^2
