@@ -59,6 +59,14 @@ class Mode:
         return f"({self.k},{self.q})"
 
 
+def _known_mode(k: int, q: int) -> Mode:
+    """Mode(k, q) for a pair the caller generated valid, without re-checking it."""
+    mode = object.__new__(Mode)
+    object.__setattr__(mode, "k", k)  # the way the dataclass __init__ sets a frozen field
+    object.__setattr__(mode, "q", q)
+    return mode
+
+
 @dataclass(frozen=True)
 class AffineBranch:
     """A branch coefficient A + B*x of the spectrum, affine in x = t^{-3}."""
@@ -134,7 +142,7 @@ def enumerate_modes(k_max: int) -> list[Mode]:
     """All valid modes with k <= k_max, including (0, 0)."""
     if k_max < 0:
         raise ValueError(f"k_max must be non-negative, got {k_max!r}")
-    return [Mode(k, q) for k in range(k_max + 1) for q in range(k % 2, k + 1, 2)]
+    return [_known_mode(k, q) for k in range(k_max + 1) for q in range(k % 2, k + 1, 2)]
 
 
 def _as_positive_fraction(x: RationalLike, name: str) -> Fraction:
@@ -181,7 +189,7 @@ def distinct_spectrum_at(
                 return [(Fraction(n, Q), modes) for n, modes in groups]
             groups.append((num, []))
         q = sign * sq
-        groups[-1][1].append(Mode(k, q))
+        groups[-1][1].append(_known_mode(k, q))
         if 0 <= q + 2 * sign <= k:
             heapq.heappush(heap, entry(k, q + 2 * sign))
         if q == first_q(k):
@@ -288,7 +296,7 @@ def kth_distinct_piecewise(i: int, x_max: RationalLike) -> list[PiecewiseCell]:
     plus one per point where three or more lines meet and the level keeps
     its line.
     """
-    if i < 1:
+    if not isinstance(i, int) or i < 1:
         raise ValueError(f"position must be a positive integer, got {i!r}")
     xm = _as_positive_fraction(x_max, "x_max")
     # one entry per mode; entry 0 is the constant mode (0, 0)

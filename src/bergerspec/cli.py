@@ -13,12 +13,18 @@ columns honor --precision (default 12 digits, overridable through the
 BERGERSPEC_PRECISION environment variable).  CSV comment lines start
 with '#'.  Exit status: 0 success, 2 usage or domain error, 3 structural
 error (for example a Page root count other than two).
+
+`main` can be called many times in one process.  The argument parser is
+built once per process, on the first call, and the packaged Page
+constants are read and validated once, on the first request that needs
+them; a --page-config file is read and validated on every request.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -39,6 +45,7 @@ from .page import (
     PageConfigError,
     PageConstants,
     PageStructureError,
+    _default_constants,
     page_constants,
     page_index_nullity,
     page_slice,
@@ -210,7 +217,7 @@ def handle_piecewise(args: argparse.Namespace) -> Table:
 
 
 def _page_setup(args: argparse.Namespace) -> PageConstants:
-    return page_constants(path=args.page_config) if args.page_config else page_constants()
+    return page_constants(path=args.page_config) if args.page_config else _default_constants()
 
 
 def _index_row(r: float, report: IndexNullityReport) -> Row:
@@ -224,15 +231,14 @@ def _index_row(r: float, report: IndexNullityReport) -> Row:
 
 
 def handle_index(args: argparse.Namespace) -> Table:
-    chosen = [name for name in ("r", "scan", "roots") if getattr(args, name)]
-    if len(chosen) != 1:
+    if (args.r is not None) + (args.scan is not None) + args.roots != 1:
         raise ValueError("exactly one of --r, --scan, --roots is required")
     fields = ["r", "index", "nullity", "first_shifted", "bound"]
     if args.space == "cp2":
         if args.roots:
             raise ValueError("--roots applies only to the page family")
         comments = ["cp2 geodesic spheres, Jacobi shift 3/2"]
-        radii = [args.r] if args.r else _scan_grid(args.scan, positive=True)
+        radii = [args.r] if args.r is not None else _scan_grid(args.scan, positive=True)
         rows = []
         for r in radii:
             report = slice_index_nullity(cp2_slice(r), args.depth)
@@ -247,7 +253,7 @@ def handle_index(args: argparse.Namespace) -> Table:
     if args.roots:
         rows = [{"root": "r1", "r": r1}, {"root": "r2", "r": r2}]
         return comments, ["root", "r"], rows
-    radii = [args.r] if args.r else _scan_grid(args.scan, upper=math.pi)
+    radii = [args.r] if args.r is not None else _scan_grid(args.scan, upper=math.pi)
     rows = []
     for r in radii:
         report = page_index_nullity(r, args.depth, constants=consts)
@@ -322,7 +328,14 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", "-o", default=None, help="write to this path instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls.
+
+    Parsing leaves the parser unchanged, so one parser serves every `main`
+    call of a process.  It names no handler: `main` looks the handler up
+    by subcommand when it runs.
+    """
     parser = argparse.ArgumentParser(
         prog="bergerspec",
         description="Exact Berger sphere spectra and Jacobi index profiles",
@@ -333,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--kmax", type=int, required=True)
     _add_output_flags(p)
-    p.set_defaults(handler=handle_sphere)
 
     p = sub.add_parser("berger", help="Berger sphere spectrum at fixed t or epsilon")
     # Fraction parses "1/2", "0.2" and "1e-3" exactly; floats would smuggle
@@ -343,14 +355,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=12)
     p.add_argument("--with-multiplicity", action="store_true")
     _add_output_flags(p)
-    p.set_defaults(handler=handle_berger)
 
     p = sub.add_parser("piecewise", help="branch partition of one eigenvalue curve")
     p.add_argument("--index", type=int, default=None, help="position among distinct nonzero values")
     p.add_argument("--slot", type=int, default=None, help="curve number in the eleven-curve table")
     p.add_argument("--xmax", default="20")
     _add_output_flags(p)
-    p.set_defaults(handler=handle_piecewise)
 
     p = sub.add_parser("index", help="Jacobi index/nullity profiles")
     p.add_argument("space", choices=("cp2", "page"))
@@ -361,13 +371,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--page-config", default=None, help="alternate constants file")
     _add_output_flags(p)
-    p.set_defaults(handler=handle_index)
 
     p = sub.add_parser("plotdata", help="dense data behind the standard figures")
     p.add_argument("figure", choices=("fig1", "fig2", "fig3"))
     p.add_argument("--page-config", default=None, help="alternate constants file")
     _add_output_flags(p)
-    p.set_defaults(handler=handle_plotdata)
 
     return parser
 
@@ -396,7 +404,8 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         request = _resolve_request(args)
-        table = args.handler(args)
+        # looked up when called, so a handler rebound on the module runs
+        table = globals()[f"handle_{args.command}"](args)
     except (PageConfigError, PageStructureError) as exc:
         print(f"bergerspec: {exc}", file=sys.stderr)
         return 3

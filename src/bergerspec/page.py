@@ -69,16 +69,21 @@ class PageConstants:
     def ambient(self) -> EinsteinAmbient:
         return EinsteinAmbient(n=4, s=self.s, validity="hypersurface", name="Page space")
 
-    def P(self, r: float) -> float:
+    def PQ(self, r: float) -> tuple[float, float]:
+        """(P(r), Q(r)) from one cos r and one a^2."""
         c = math.cos(r)
-        return 1.0 - self.a2 * c * c
+        a2 = self.a * self.a
+        return 1.0 - a2 * c * c, 3.0 - a2 - a2 * (1.0 + a2) * c * c
+
+    def P(self, r: float) -> float:
+        return self.PQ(r)[0]
 
     def Q(self, r: float) -> float:
-        c = math.cos(r)
-        return 3.0 - self.a2 - self.a2 * (1.0 + self.a2) * c * c
+        return self.PQ(r)[1]
 
     def V(self, r: float) -> float:
-        return self.P(r) / self.Q(r)
+        P, Q = self.PQ(r)
+        return P / Q
 
     def U(self, r: float) -> float:
         return math.sqrt(self.V(r))
@@ -194,8 +199,9 @@ def page_shifted_lambda1(r: float, constants: PageConstants | None = None) -> fl
     """
     _check_domain(r)
     c = constants or _default_constants()
+    P, Q = c.PQ(r)
     s = math.sin(r)
-    return 2.0 / c.f(r) + c.V(r) / (c.D * c.D * s * s) - c.shift
+    return 2.0 / (c.f_const * P) + P / Q / (c.D * c.D * s * s) - c.shift
 
 
 def page_x(r: float, constants: PageConstants | None = None) -> float:

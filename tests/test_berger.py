@@ -95,6 +95,26 @@ def test_enumerate_modes():
         enumerate_modes(-1)
 
 
+def _assert_valid_modes(modes):
+    for m in modes:
+        assert type(m.k) is int and type(m.q) is int
+        assert 0 <= m.q <= m.k and (m.k - m.q) % 2 == 0
+        assert m == Mode(m.k, m.q)  # the validating constructor accepts it
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    num=st.integers(min_value=1, max_value=10**6),
+    den=st.integers(min_value=1, max_value=10**6),
+    count=st.integers(min_value=1, max_value=40),
+    k_max=st.integers(min_value=0, max_value=30),
+)
+def test_generated_modes_are_valid(num, den, count, k_max):
+    # both build their modes without re-running Mode's checks
+    _assert_valid_modes(m for _, modes in distinct_spectrum_at(Fraction(num, den), count) for m in modes)
+    _assert_valid_modes(enumerate_modes(k_max))
+
+
 def test_distinct_spectrum_round_point():
     got = [(v, m) for v, m, _ in spectrum_with_multiplicity(1, 5)]
     assert got == [(0, 1), (3, 4), (8, 9), (15, 16), (24, 25)]
@@ -177,12 +197,13 @@ def test_distinct_spectrum_matches_enumeration(x, count):
 def test_distinct_spectrum_work_is_output_bounded(monkeypatch):
     # every Mode built is a mode returned: no value bound, no second pass
     built = []
+    build = berger._known_mode  # the sweep's mode constructor
 
     def counting_mode(k, q):
         built.append((k, q))
-        return Mode(k, q)
+        return build(k, q)
 
-    monkeypatch.setattr(berger, "Mode", counting_mode)
+    monkeypatch.setattr(berger, "_known_mode", counting_mode)
     for x, count in ((cp2_slice(1e3).exact_x(), 25), (Fraction(1), 200)):
         built.clear()
         got = distinct_spectrum_at(x, count)
@@ -255,6 +276,12 @@ def test_piecewise_validation():
         kth_distinct_piecewise(0, 10)
     with pytest.raises(ValueError):
         kth_distinct_piecewise(1, 0)
+
+
+@pytest.mark.parametrize("i", [2.5, "3"])
+def test_piecewise_rejects_non_integer_position(i):
+    with pytest.raises(ValueError, match=f"^position must be a positive integer, got {i!r}$"):
+        kth_distinct_piecewise(i, 1)
 
 
 def _level_value(x, i):

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -198,6 +199,18 @@ def test_index_page_domain(capsys):
     assert run(capsys, "index", "page", "--scan", "0.5", "3.5", "4")[0] == 2
 
 
+@pytest.mark.parametrize("space", ["cp2", "page"])
+def test_index_zero_radius_counts_as_given(capsys, space):
+    # --r 0 is a value, not an absent flag
+    code, out, err = run(capsys, "index", space, "--r", "0", "--scan", "1", "2", "3")
+    assert (code, out) == (2, "")
+    assert "exactly one of --r, --scan, --roots" in err
+    code, out, err = run(capsys, "index", space, "--r", "0")
+    assert (code, out) == (2, "")
+    assert "exactly one of" not in err
+    assert "0.0" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -302,6 +315,66 @@ def test_unknown_subcommand(capsys):
 
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
+
+
+_REQUESTS = [
+    ["sphere", "--dim", "3", "--kmax", "2"],
+    ["berger", "--t", "1/2", "--count", "5", "--format", "json"],
+    ["index", "cp2", "--r"],  # usage error: --r needs a value
+    ["piecewise", "--index", "2", "--xmax", "3"],
+    ["index", "page", "--roots"],
+    ["frobnicate"],
+    ["index", "cp2", "--scan", "0.5", "2", "3", "--depth", "6"],
+]
+
+
+def test_one_parser_serves_every_call(capsys):
+    from bergerspec import cli
+
+    fresh = []
+    for argv in _REQUESTS:
+        cli.build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    cli.build_parser.cache_clear()
+    shared = [run(capsys, *argv) for argv in _REQUESTS]
+    assert cli.build_parser.cache_info().misses == 1
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0, 2, 0]
+
+
+def test_handler_is_looked_up_per_call(capsys, monkeypatch):
+    from bergerspec import cli
+
+    assert run(capsys, "sphere", "--dim", "3", "--kmax", "1")[0] == 0
+    seen = []
+
+    def stub(args):
+        seen.append(args.kmax)
+        return [], ["k"], [{"k": args.kmax}]
+
+    monkeypatch.setattr(cli, "handle_sphere", stub)
+    assert run(capsys, "sphere", "--dim", "3", "--kmax", "4")[:2] == (0, "k\n4\n")
+    assert seen == [4]
+
+
+def test_packaged_page_constants_load_once(capsys, monkeypatch, tmp_path):
+    from bergerspec import cli, page
+
+    loads = []
+
+    def counting(*args, **kwargs):
+        loads.append(kwargs.get("path"))
+        return page.page_constants(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "page_constants", counting)
+    for _ in range(3):
+        assert run(capsys, "index", "page", "--roots")[0] == 0
+    assert loads == []
+    cfg = tmp_path / "page.cfg"
+    cfg.write_text(resources.files("bergerspec").joinpath("data/page_constants.cfg").read_text())
+    for _ in range(2):
+        assert run(capsys, "index", "page", "--roots", "--page-config", str(cfg))[0] == 0
+    assert loads == [str(cfg), str(cfg)]
 
 
 def test_csv_comment_headers(capsys):

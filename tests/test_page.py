@@ -23,6 +23,7 @@ from bergerspec.page import (
     page_transition_roots,
     page_x,
 )
+from bergerspec.slices import find_root_bisection
 
 R1_PRINTED = 0.7032761573791504
 R2_PRINTED = 2.4383171081542976
@@ -149,6 +150,37 @@ def test_shifted_lambda1_profile(consts, roots):
     # vanishes at the certified roots
     assert abs(page_shifted_lambda1(r1, consts)) < 1e-5
     assert abs(page_shifted_lambda1(r2, consts)) < 1e-5
+
+
+def _composed_shifted_lambda1(c, r):
+    s = math.sin(r)
+    return 2.0 / c.f(r) + c.V(r) / (c.D * c.D * s * s) - c.shift
+
+
+def test_shifted_lambda1_is_bit_identical_to_the_composed_formula(consts):
+    rng = random.Random(1024)
+    radii = [k * ROOT_SCAN_STEP for k in range(1, 1024)]
+    radii += [rng.uniform(1e-9, math.pi - 1e-9) for _ in range(2000)]
+    for r in radii:
+        assert page_shifted_lambda1(r, consts) == _composed_shifted_lambda1(consts, r)
+        P, Q = consts.PQ(r)
+        assert (consts.P(r), consts.Q(r)) == (P, Q)
+        c2 = math.cos(r) ** 2
+        assert P == pytest.approx(1 - consts.a2 * c2, rel=1e-14)
+        assert Q == pytest.approx(3 - consts.a2 - consts.a2 * (1 + consts.a2) * c2, rel=1e-14)
+
+
+@pytest.mark.parametrize("tol", [10.0**-e for e in range(3, 11)])
+def test_transition_roots_match_the_composed_formula(consts, tol):
+    # the same grid scan and bisection, run on the method-composed formula
+    def fn(r):
+        return _composed_shifted_lambda1(consts, r)
+
+    grid = [k * ROOT_SCAN_STEP for k in range(1, 1024)]
+    brackets = [(lo, hi) for lo, hi in zip(grid, grid[1:]) if (fn(lo) > 0) != (fn(hi) > 0)]
+    assert len(brackets) == 2
+    want = tuple(find_root_bisection(fn, lo, hi, tol) for lo, hi in brackets)
+    assert page_transition_roots(tol, consts) == want
 
 
 def test_shifted_lambda1_domain(consts):
