@@ -27,9 +27,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Callable, Iterable, TypeVar, Union
 
 RationalLike = Union[int, Fraction, str]
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -135,7 +136,12 @@ def mode_multiplicity(m: Mode) -> int:
     fixed k must sum to the harmonic dimension (k+1)^2, and each q > 0
     carries the two circle-weight signs.
     """
-    return m.k + 1 if m.q == 0 else 2 * (m.k + 1)
+    return _multiplicity(m.k, m.q)
+
+
+def _multiplicity(k: int, q: int) -> int:
+    """mode_multiplicity of the mode (k, q), from its indices."""
+    return k + 1 if q == 0 else 2 * (k + 1)
 
 
 def enumerate_modes(k_max: int) -> list[Mode]:
@@ -152,25 +158,22 @@ def _as_positive_fraction(x: RationalLike, name: str) -> Fraction:
     return value
 
 
-def distinct_spectrum_at(
-    x: RationalLike, count: int
-) -> list[tuple[Fraction, list[Mode]]]:
-    """The `count` smallest distinct branch values A + B*x, exactly.
+def _merge(
+    P: int, Q: int, count: int, make: Callable[[int, int], T]
+) -> list[tuple[int, list[T]]]:
+    """The `count` smallest distinct branch values at x = P/Q, as numerators over Q.
 
-    Each value carries every mode attaining it, ordered by k and then by
-    q, ascending for x >= 1 and descending for x < 1.  The values are a
-    k-way merge, in integers, of one sorted stream per k: with x = P/Q,
-    stream k yields k(k+2) Q + q^2 (P - Q), nondecreasing as q runs up
-    from k mod 2 (x >= 1) or down from k (x < 1).  Stream k + 2 starts
-    strictly above stream k, so it joins the heap when the first entry of
-    stream k leaves it.  The merge stops at the first numerator past the
-    `count`-th value: the cost is proportional to the modes returned,
-    times the log of the number of open streams.
+    Returns [(n, [make(k, q), ...]), ...]: one entry per distinct value
+    n/Q, ascending, with make applied to each mode (k, q) attaining it, in
+    the order distinct_spectrum_at documents.  The values are a k-way
+    merge, in integers, of one sorted stream per k: stream k yields
+    k(k+2) Q + q^2 (P - Q), nondecreasing as q runs up from k mod 2
+    (P >= Q) or down from k (P < Q).  Stream k + 2 starts strictly above
+    stream k, so it joins the heap when the first entry of stream k leaves
+    it.  The merge stops at the first numerator past the `count`-th value:
+    the cost is proportional to the modes returned, times the log of the
+    number of open streams.  P/Q need not be in lowest terms.
     """
-    xf = _as_positive_fraction(x, "x")
-    if not isinstance(count, int) or count < 1:
-        raise ValueError(f"count must be a positive integer, got {count!r}")
-    P, Q = xf.numerator, xf.denominator
     slope = P - Q
     sign = 1 if slope >= 0 else -1  # heap keys carry sign*q, so ties pop in stream order
 
@@ -181,19 +184,36 @@ def distinct_spectrum_at(
         return (k * (k + 2) * Q + q * q * slope, k, sign * q)
 
     heap = [entry(0, 0), entry(1, first_q(1))]
-    groups: list[tuple[int, list[Mode]]] = []
+    groups: list[tuple[int, list[T]]] = []
     while True:
         num, k, sq = heapq.heappop(heap)
         if not groups or num != groups[-1][0]:
             if len(groups) == count:
-                return [(Fraction(n, Q), modes) for n, modes in groups]
+                return groups
             groups.append((num, []))
         q = sign * sq
-        groups[-1][1].append(_known_mode(k, q))
+        groups[-1][1].append(make(k, q))
         if 0 <= q + 2 * sign <= k:
             heapq.heappush(heap, entry(k, q + 2 * sign))
         if q == first_q(k):
             heapq.heappush(heap, entry(k + 2, first_q(k + 2)))
+
+
+def distinct_spectrum_at(
+    x: RationalLike, count: int
+) -> list[tuple[Fraction, list[Mode]]]:
+    """The `count` smallest distinct branch values A + B*x, exactly.
+
+    Each value carries every mode attaining it, ordered by k and then by
+    q, ascending for x >= 1 and descending for x < 1.  The values come
+    from one integer merge (`_merge`) whose cost is proportional to the
+    modes returned.
+    """
+    xf = _as_positive_fraction(x, "x")
+    if not isinstance(count, int) or count < 1:
+        raise ValueError(f"count must be a positive integer, got {count!r}")
+    Q = xf.denominator
+    return [(Fraction(n, Q), modes) for n, modes in _merge(xf.numerator, Q, count, _known_mode)]
 
 
 def spectrum_with_multiplicity(
@@ -201,7 +221,7 @@ def spectrum_with_multiplicity(
 ) -> list[tuple[Fraction, int, list[Mode]]]:
     """Like distinct_spectrum_at, adding the total multiplicity per value."""
     return [
-        (value, sum(mode_multiplicity(m) for m in modes), modes)
+        (value, sum(_multiplicity(m.k, m.q) for m in modes), modes)
         for value, modes in distinct_spectrum_at(x, count)
     ]
 

@@ -17,7 +17,9 @@ error (for example a Page root count other than two).
 `main` can be called many times in one process.  The argument parser is
 built once per process, on the first call, and the packaged Page
 constants are read and validated once, on the first request that needs
-them; a --page-config file is read and validated on every request.
+them; a --page-config file is read and validated on every request.  The
+root grid scan is kept with the constants object, so it follows the same
+rule; each page request only bisects to its --tol.
 """
 
 from __future__ import annotations
@@ -263,9 +265,9 @@ def handle_index(args: argparse.Namespace) -> Table:
 
 def _scan_grid(scan: list[float], positive: bool = False, upper: float | None = None) -> list[float]:
     rmin, rmax, steps = scan
-    n = int(steps)
-    if n < 2 or n != steps:
+    if not (math.isfinite(steps) and steps >= 2 and steps == int(steps)):
         raise ValueError(f"scan steps must be an integer >= 2, got {steps}")
+    n = int(steps)
     if rmin >= rmax:
         raise ValueError(f"scan needs rmin < rmax, got [{rmin}, {rmax}]")
     if positive and rmin <= 0:

@@ -105,23 +105,42 @@ def index_nullity(
     to reconstruct the unshifted eigenvalue column of the witnesses; pass
     the ambient's s/n when available.
     """
-    if zero_tolerance <= 0:
+    return _count_index_nullity(
+        [e.value for e in jacobi],
+        [e.multiplicity for e in jacobi],
+        zero_tolerance,
+        parameter=parameter,
+        shift=shift,
+        notes=notes,
+    )
+
+
+def _count_index_nullity(
+    values: list[float],
+    multiplicities: list[int],
+    zero_tolerance: float,
+    *,
+    parameter: float,
+    shift: float,
+    notes: tuple[str, ...],
+) -> IndexNullityReport:
+    """index_nullity on the shifted values and their multiplicities."""
+    if not zero_tolerance > 0:  # NaN included
         raise ValueError(f"zero_tolerance must be positive, got {zero_tolerance!r}")
-    if not jacobi:
+    if not values:
         raise ValueError("empty Jacobi spectrum")
-    values = [e.value for e in jacobi]
     if values != sorted(values):
         raise ValueError("Jacobi spectrum must be sorted ascending")
     index = 0
     nullity = 0
     witnesses: list[tuple[float, int, float]] = []
-    for e in jacobi:
-        if e.value < -zero_tolerance:
-            index += e.multiplicity
-            witnesses.append((e.value + shift, e.multiplicity, e.value))
-        elif abs(e.value) <= zero_tolerance:
-            nullity += e.multiplicity
-            witnesses.append((e.value + shift, e.multiplicity, e.value))
+    for value, mult in zip(values, multiplicities):
+        if value < -zero_tolerance:
+            index += mult
+            witnesses.append((value + shift, mult, value))
+        elif abs(value) <= zero_tolerance:
+            nullity += mult
+            witnesses.append((value + shift, mult, value))
     return IndexNullityReport(
         parameter=parameter,
         index=index,

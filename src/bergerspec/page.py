@@ -107,6 +107,28 @@ class PageConstants:
             * self.f(r) ** (-1.0 / 3.0)
         )
 
+    @functools.cached_property
+    def root_brackets(self) -> tuple[tuple[float, float], ...]:
+        """Grid brackets of the zeros of page_shifted_lambda1, in ascending order.
+
+        The grid is k * ROOT_SCAN_STEP for k = 1..1023.  A grid point where
+        the value is exactly zero gives the bracket (r, r); a sign change
+        between neighbouring points gives (r_lo, r_hi).  The scan runs on
+        first use and is kept with this object, so it is repeated only for
+        a new constants object.
+        """
+        grid = [k * ROOT_SCAN_STEP for k in range(1, 1024)]
+        values = [page_shifted_lambda1(r, self) for r in grid]
+        brackets: list[tuple[float, float]] = []
+        for (r_lo, v_lo), (r_hi, v_hi) in zip(zip(grid, values), zip(grid[1:], values[1:])):
+            if v_lo == 0.0:
+                brackets.append((r_lo, r_lo))
+            elif (v_lo > 0) != (v_hi > 0):
+                brackets.append((r_lo, r_hi))
+        if values[-1] == 0.0:
+            brackets.append((grid[-1], grid[-1]))
+        return tuple(brackets)
+
     def validate(self) -> None:
         """Check every load-time anchor; raise PageConfigError on failure."""
         quartic = self.a**4 + 4 * self.a**3 - 6 * self.a**2 + 12 * self.a - 3
@@ -216,32 +238,27 @@ def page_transition_roots(
     """The two zeros of the shifted first eigenvalue in (0, pi).
 
     Scans a fixed grid of step pi/1024 for sign changes and bisects each
-    bracket.  Finding any number of roots other than two means the
+    bracket to width `tol`.  The scan does not depend on `tol`: it runs
+    once per constants object (`PageConstants.root_brackets`), so the
+    packaged constants are scanned once per process, and each call only
+    bisects.  Finding any number of roots other than two means the
     coefficient transcription is structurally wrong, and is an error
-    rather than a value.
+    rather than a value, on every call.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
     c = constants or _default_constants()
+    brackets = c.root_brackets
+    if len(brackets) != 2:
+        raise PageStructureError(
+            f"expected exactly 2 sign changes of the shifted first eigenvalue, found {len(brackets)}"
+        )
 
     def fn(r: float) -> float:
         return page_shifted_lambda1(r, c)
 
-    grid = [k * ROOT_SCAN_STEP for k in range(1, 1024)]
-    values = [fn(r) for r in grid]
-    roots: list[float] = []
-    for (r_lo, v_lo), (r_hi, v_hi) in zip(zip(grid, values), zip(grid[1:], values[1:])):
-        if v_lo == 0.0:
-            roots.append(r_lo)
-        elif (v_lo > 0) != (v_hi > 0):
-            roots.append(find_root_bisection(fn, r_lo, r_hi, tol))
-    if values[-1] == 0.0:
-        roots.append(grid[-1])
-    if len(roots) != 2:
-        raise PageStructureError(
-            f"expected exactly 2 sign changes of the shifted first eigenvalue, found {len(roots)}"
-        )
-    return roots[0], roots[1]
+    r1, r2 = (lo if lo == hi else find_root_bisection(fn, lo, hi, tol) for lo, hi in brackets)
+    return r1, r2
 
 
 def page_index_nullity(

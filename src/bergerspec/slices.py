@@ -20,10 +20,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .berger import SpectrumEntry, spectrum_with_multiplicity, tanno_lambda1, scale_spectrum
-from .jacobi import (
+from .berger import (
+    SpectrumEntry,
+    _merge,
+    _multiplicity,
+    scale_spectrum,
+    spectrum_with_multiplicity,
+    tanno_lambda1,
+)
+from .jacobi import (  # noqa: F401  (index_nullity, jacobi_spectrum: bench/tracing.py wraps them here)
     EinsteinAmbient,
     IndexNullityReport,
+    _count_index_nullity,
     index_nullity,
     jacobi_shift,
     jacobi_spectrum,
@@ -100,13 +108,36 @@ def slice_index_nullity(
     zero_tolerance: float | None = None,
     notes: tuple[str, ...] = (),
 ) -> IndexNullityReport:
-    """Index and nullity of the slice's Jacobi operator, strict counts."""
+    """Index and nullity of the slice's Jacobi operator, strict counts.
+
+    The report is the one index_nullity gives for
+    jacobi_spectrum(slice_spectrum(geom, depth), shift), at the cost of
+    one integer merge of `depth` distinct values plus float arithmetic:
+    no Fraction, Mode or SpectrumEntry is built per value.  With
+    x = P/Q the merge yields numerators n over the common denominator Q,
+    and each value is n / Q / f - shift.  The float n / Q of two ints is
+    correctly rounded, and so is slice_spectrum's float(Fraction(n, Q));
+    both round the same rational, so the values are bit-identical to the
+    composed pipeline's.
+    """
     shift = jacobi_shift(geom.ambient)
     if zero_tolerance is None:
         zero_tolerance = 1e-9 * max(1.0, abs(shift))
-    shifted = jacobi_spectrum(slice_spectrum(geom, depth), shift)
-    report = index_nullity(
-        shifted, zero_tolerance, parameter=geom.r, shift=shift, notes=notes
+    if not isinstance(depth, int) or depth < 1:
+        raise ValueError(f"depth must be a positive integer, got {depth!r}")
+    x = geom.exact_x()
+    Q, f = x.denominator, geom.f
+    groups = _merge(x.numerator, Q, depth, _multiplicity)
+    shifted = [n / Q / f - shift for n, _ in groups]
+    if shifted[0] != -shift:
+        raise ValueError("laplace spectrum must contain the zero eigenvalue")
+    report = _count_index_nullity(
+        shifted,
+        [sum(mults) for _, mults in groups],
+        zero_tolerance,
+        parameter=geom.r,
+        shift=shift,
+        notes=notes,
     )
     if report.truncation_bound <= zero_tolerance:
         raise ValueError(
@@ -171,8 +202,8 @@ def find_root_bisection(
 
     Requires a strict sign change between finite endpoint values.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo!r}, {hi!r}]")
     flo, fhi = fn(lo), fn(hi)

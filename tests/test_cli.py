@@ -142,17 +142,17 @@ def test_index_cp2(capsys):
 
 @pytest.mark.parametrize("space", ["cp2", "page"])
 def test_index_scan_builds_one_spectrum_per_row(capsys, monkeypatch, space):
-    from bergerspec import cli, slices
+    from bergerspec import berger, slices
 
     calls = []
-    original = slices.slice_spectrum
+    original = berger._merge  # the integer merge behind every spectrum
 
-    def counting(geom, depth):
-        calls.append(depth)
-        return original(geom, depth)
+    def counting(P, Q, count, make):
+        calls.append(count)
+        return original(P, Q, count, make)
 
-    for module in (cli, slices):
-        monkeypatch.setattr(module, "slice_spectrum", counting)
+    for module in (berger, slices):
+        monkeypatch.setattr(module, "_merge", counting)
     code, out, _ = run(capsys, "index", space, "--scan", "0.5", "2.5", "5", "--depth", "9")
     assert code == 0
     assert len(csv_rows(out)[1]) == 5
@@ -184,6 +184,20 @@ def test_index_page_scan(capsys):
     assert "5" in pattern
     # indices only ever step between 1 and 5 here
     assert set(pattern) == {"1", "5"}
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_index_page_non_finite_tolerance(capsys, tol):
+    code, out, err = run(capsys, "index", "page", "--roots", "--tol", tol)
+    assert (code, out) == (2, "")
+    assert err == f"bergerspec: tolerance must be finite and positive, got {tol}\n"
+
+
+@pytest.mark.parametrize("steps", ["inf", "nan"])
+def test_index_scan_non_finite_steps(capsys, steps):
+    code, out, err = run(capsys, "index", "cp2", "--scan", "1", "2", steps)
+    assert (code, out) == (2, "")
+    assert err == f"bergerspec: scan steps must be an integer >= 2, got {steps}\n"
 
 
 def test_index_mode_exclusivity(capsys):

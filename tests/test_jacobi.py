@@ -88,8 +88,9 @@ def test_index_nullity_report_fields():
 def test_index_nullity_validation():
     with pytest.raises(ValueError):
         index_nullity([], 1e-9)
-    with pytest.raises(ValueError):
-        index_nullity([SpectrumEntry(0.0, 1)], 0.0)
+    for tol in (0.0, float("nan")):  # a NaN tolerance would count nothing
+        with pytest.raises(ValueError, match="zero_tolerance"):
+            index_nullity([SpectrumEntry(0.0, 1)], tol)
     with pytest.raises(ValueError):
         index_nullity([SpectrumEntry(2.0, 1), SpectrumEntry(-1.0, 1)], 1e-9)
 

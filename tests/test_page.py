@@ -125,8 +125,9 @@ def test_root_scan_step():
 
 
 def test_transition_roots_validation(consts):
-    with pytest.raises(ValueError):
-        page_transition_roots(0.0, consts)
+    for tol in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tolerance"):
+            page_transition_roots(tol, consts)
 
 
 def test_shifted_lambda1_profile(consts, roots):
@@ -181,6 +182,54 @@ def test_transition_roots_match_the_composed_formula(consts, tol):
     assert len(brackets) == 2
     want = tuple(find_root_bisection(fn, lo, hi, tol) for lo, hi in brackets)
     assert page_transition_roots(tol, consts) == want
+
+
+def test_root_scan_runs_once_per_constants_object(monkeypatch):
+    from bergerspec import page
+
+    evaluate, bisect = page.page_shifted_lambda1, page.find_root_bisection
+    scanned, bisected = [], []
+    bisecting = [False]
+
+    def counting(r, constants=None):
+        if not bisecting[0]:
+            scanned.append(r)
+        return evaluate(r, constants)
+
+    def recording(fn, lo, hi, tol):
+        bisected.append((lo, hi))
+        bisecting[0] = True
+        try:
+            return bisect(fn, lo, hi, tol)
+        finally:
+            bisecting[0] = False
+
+    monkeypatch.setattr(page, "page_shifted_lambda1", counting)
+    monkeypatch.setattr(page, "find_root_bisection", recording)
+    c = page_constants()
+    tols = [10.0**-e for e in range(3, 11)]
+    roots = [page_transition_roots(tol, c) for tol in tols]
+    grid = [k * ROOT_SCAN_STEP for k in range(1, 1024)]
+    assert scanned == grid
+
+    def fn(r):
+        return evaluate(r, c)
+
+    brackets = [(lo, hi) for lo, hi in zip(grid, grid[1:]) if (fn(lo) > 0) != (fn(hi) > 0)]
+    assert len(brackets) == 2
+    assert bisected == brackets * len(tols)
+    for tol, got in zip(tols, roots):
+        assert got == tuple(bisect(fn, lo, hi, tol) for lo, hi in brackets)
+    # the scan is kept with the object: an equal new one scans again
+    page_transition_roots(1e-6, page_constants())
+    assert scanned == grid * 2
+
+
+def test_corrupted_constants_fail_the_root_count_on_every_call(consts):
+    bad = replace(consts, D=0.1)  # the shifted value stays positive: no roots
+    for tol in (1e-3, 1e-6, 1e-6, 1e-10):
+        with pytest.raises(PageStructureError, match="found 0"):
+            page_transition_roots(tol, bad)
 
 
 def test_shifted_lambda1_domain(consts):

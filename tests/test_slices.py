@@ -1,11 +1,15 @@
 import math
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bergerspec.berger import tanno_lambda1
-from bergerspec.jacobi import jacobi_shift
+from bergerspec.jacobi import IndexNullityReport, index_nullity, jacobi_shift, jacobi_spectrum
+from bergerspec.page import page_constants, page_slice, page_transition_roots
 from bergerspec.slices import (
     SliceGeometry,
     cp2_index_nullity,
@@ -122,6 +126,80 @@ def test_report_first_shifted_is_the_first_nonzero_value():
             assert rep.first_shifted == slice_spectrum(geom, 2)[1].value - shift
 
 
+def _composed_report(geom, depth, zero_tolerance=None, notes=()):
+    """slice_index_nullity as the composition of the public spectrum stages."""
+    shift = jacobi_shift(geom.ambient)
+    if zero_tolerance is None:
+        zero_tolerance = 1e-9 * max(1.0, abs(shift))
+    shifted = jacobi_spectrum(slice_spectrum(geom, depth), shift)
+    return index_nullity(shifted, zero_tolerance, parameter=geom.r, shift=shift, notes=notes)
+
+
+def _assert_same_report(geom, depth, zero_tolerance=None, notes=()):
+    want = _composed_report(geom, depth, zero_tolerance, notes)
+    if want.truncation_bound <= want.zero_tolerance:
+        with pytest.raises(ValueError, match="does not reach past the shift"):
+            slice_index_nullity(geom, depth, zero_tolerance, notes)
+        return want
+    got = slice_index_nullity(geom, depth, zero_tolerance, notes)
+    for f in fields(IndexNullityReport):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
+    assert repr(got) == repr(want)  # also tells -0.0 from 0.0
+    return got
+
+
+_PAGE = page_constants()
+_FAMILIES = {
+    "cp2": (st.floats(min_value=-3, max_value=3).map(lambda e: 10.0**e), cp2_slice),
+    "page": (
+        st.floats(min_value=0, max_value=math.pi, exclude_min=True, exclude_max=True),
+        lambda r: page_slice(r, _PAGE),
+    ),
+    "synthetic": (
+        st.floats(min_value=0, max_value=math.pi, exclude_min=True, exclude_max=True),
+        synthetic_slice,
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_slice_index_nullity_matches_the_composed_pipeline(family):
+    radii, make = _FAMILIES[family]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        r=radii,
+        depth=st.integers(min_value=2, max_value=40),
+        zero_tolerance=st.one_of(st.none(), st.floats(min_value=1e-12, max_value=1.0)),
+    )
+    def check(r, depth, zero_tolerance):
+        try:
+            geom = make(r)
+        except ValueError:  # w^2 under- or overflows at the very ends of the range
+            return
+        _assert_same_report(geom, depth, zero_tolerance, notes=("n",))
+
+    check()
+
+
+def test_slice_index_nullity_matches_at_the_page_roots():
+    # criterion 7's case: nullity 4 at the float roots, so witnesses are kept
+    for r in page_transition_roots(1e-6, _PAGE):
+        for depth in (2, 8, 25, 40):
+            rep = _assert_same_report(page_slice(r, _PAGE), depth, zero_tolerance=1e-5)
+            assert (rep.index, rep.nullity) == (1, 4)
+            assert [m for _, m, _ in rep.witnesses] == [1, 4]
+
+
+def test_slice_index_nullity_rejects_bad_depth_and_tolerance():
+    for depth in (0, 2.5, 9.0):
+        with pytest.raises(ValueError, match="positive integer"):
+            slice_index_nullity(cp2_slice(1.0), depth)
+    for tol in (-1e-9, float("nan")):  # NaN used to give index 0 here
+        with pytest.raises(ValueError, match="zero_tolerance"):
+            slice_index_nullity(cp2_slice(1.0), 25, tol)
+
+
 def test_synthetic_slice_round_spectrum():
     # f = sin^2 r, w = sin r is a round 3-sphere of radius sin r, so the
     # spectrum must be k(k+2)/sin^2 r with multiplicity (k+1)^2
@@ -162,8 +240,9 @@ def test_bisection_errors():
         find_root_bisection(lambda v: v * v + 1.0, 0.0, 1.0, 1e-6)
     with pytest.raises(ValueError):
         find_root_bisection(lambda v: v, 1.0, 0.0, 1e-6)
-    with pytest.raises(ValueError):
-        find_root_bisection(lambda v: v, 0.0, 1.0, 0.0)
+    for tol in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tolerance"):
+            find_root_bisection(lambda v: v, 0.0, 1.0, tol)
     with pytest.raises(ValueError):
         find_root_bisection(lambda v: float("nan"), 0.0, 1.0, 1e-6)
 
