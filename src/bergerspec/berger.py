@@ -158,6 +158,11 @@ def _as_positive_fraction(x: RationalLike, name: str) -> Fraction:
     return value
 
 
+def _check_count(count: int) -> None:
+    if not isinstance(count, int) or count < 1:
+        raise ValueError(f"count must be a positive integer, got {count!r}")
+
+
 def _merge(
     P: int, Q: int, count: int, make: Callable[[int, int], T]
 ) -> list[tuple[int, list[T]]]:
@@ -173,6 +178,12 @@ def _merge(
     it.  The merge stops at the first numerator past the `count`-th value:
     the cost is proportional to the modes returned, times the log of the
     number of open streams.  P/Q need not be in lowest terms.
+
+    When the popped stream has a next entry, that entry takes the popped
+    one's place in a single sift (`heapreplace`).  The keys (num, k, sign*q)
+    of distinct modes are distinct, so they are totally ordered and every
+    way of maintaining the heap pops them in the same order: the mode
+    order, and with it modes[0] of each value, does not depend on it.
     """
     slope = P - Q
     sign = 1 if slope >= 0 else -1  # heap keys carry sign*q, so ties pop in stream order
@@ -186,7 +197,7 @@ def _merge(
     heap = [entry(0, 0), entry(1, first_q(1))]
     groups: list[tuple[int, list[T]]] = []
     while True:
-        num, k, sq = heapq.heappop(heap)
+        num, k, sq = heap[0]
         if not groups or num != groups[-1][0]:
             if len(groups) == count:
                 return groups
@@ -194,7 +205,9 @@ def _merge(
         q = sign * sq
         groups[-1][1].append(make(k, q))
         if 0 <= q + 2 * sign <= k:
-            heapq.heappush(heap, entry(k, q + 2 * sign))
+            heapq.heapreplace(heap, entry(k, q + 2 * sign))
+        else:
+            heapq.heappop(heap)
         if q == first_q(k):
             heapq.heappush(heap, entry(k + 2, first_q(k + 2)))
 
@@ -210,8 +223,7 @@ def distinct_spectrum_at(
     modes returned.
     """
     xf = _as_positive_fraction(x, "x")
-    if not isinstance(count, int) or count < 1:
-        raise ValueError(f"count must be a positive integer, got {count!r}")
+    _check_count(count)
     Q = xf.denominator
     return [(Fraction(n, Q), modes) for n, modes in _merge(xf.numerator, Q, count, _known_mode)]
 
@@ -224,6 +236,48 @@ def spectrum_with_multiplicity(
         (value, sum(_multiplicity(m.k, m.q) for m in modes), modes)
         for value, modes in distinct_spectrum_at(x, count)
     ]
+
+
+def _pair(k: int, q: int) -> tuple[int, int]:
+    return k, q
+
+
+def _scaled_rows(
+    x: Fraction, scale: Fraction, count: int
+) -> list[tuple[float, int, int, str, int]]:
+    """Rows (value, A, B, label, multiplicity) of the `count` smallest distinct values.
+
+    value is the float of scale * (A + B x) for a positive rational x; A
+    and B are those of the first mode attaining it, label joins the
+    Mode.label of every such mode with '+', and multiplicity is their
+    total.  A row costs its share of one integer merge plus one int
+    division: no Fraction or Mode is built per value.  With x = P/Q the
+    merge yields numerators n over Q, and value is the true division
+    (scale.numerator * n) / (scale.denominator * Q) of two ints.  That is
+    correctly rounded, and so is float(scale * Fraction(n, Q)); both round
+    the same rational, so value is bit-identical to the float of the exact
+    product.  A value past the float range raises OverflowError.
+    """
+    _check_count(count)
+    Q = x.denominator
+    num, den = scale.numerator, scale.denominator * Q
+    rows = []
+    for i, (n, pairs) in enumerate(_merge(x.numerator, Q, count, _pair)):
+        try:
+            value = num * n / den
+        except OverflowError:
+            raise OverflowError(f"eigenvalue n = {i} overflows a float") from None
+        k, q = pairs[0]
+        rows.append(
+            (
+                value,
+                k * (k + 2) - q * q,
+                q * q,
+                "+".join([f"({k},{q})" for k, q in pairs]),
+                sum([_multiplicity(k, q) for k, q in pairs]),
+            )
+        )
+    return rows
 
 
 def branch_crossing(b1: AffineBranch, b2: AffineBranch) -> Fraction | None:

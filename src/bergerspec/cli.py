@@ -36,7 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from .berger import (
+from .berger import (  # noqa: F401  (distinct_spectrum_at, spectrum_with_multiplicity: bench/tracing.py wraps them here)
+    _scaled_rows,
     distinct_spectrum_at,
     eleven_slot_table,
     kth_distinct_piecewise,
@@ -53,7 +54,13 @@ from .page import (
     page_slice,
     page_transition_roots,
 )
-from .slices import cp2_lambda1, cp2_slice, slice_index_nullity, slice_spectrum
+from .slices import (  # noqa: F401  (slice_spectrum: bench/tracing.py wraps it here)
+    _shifted_spectrum,
+    cp2_lambda1,
+    cp2_slice,
+    slice_index_nullity,
+    slice_spectrum,
+)
 from .spheres import sphere_spectrum
 
 PRECISION_ENV = "BERGERSPEC_PRECISION"
@@ -78,14 +85,10 @@ def _fmt_real(value: float, precision: int) -> str:
 
 
 def _cell(value: Any, precision: int) -> str:
-    if isinstance(value, bool):
-        raise TypeError("boolean cells are not part of any table")
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         return _fmt_real(value, precision)
+    if isinstance(value, bool):
+        raise TypeError("boolean cells are not part of any table")
     return str(value)
 
 
@@ -122,10 +125,6 @@ def emit(table: Table, request: OutputRequest) -> None:
             fh.write(text)
 
 
-def _mode_label(modes) -> str:
-    return "+".join(m.label() for m in modes)
-
-
 def handle_sphere(args: argparse.Namespace) -> Table:
     rows = [
         {"k": e.degree, "eigenvalue": e.eigenvalue, "multiplicity": e.multiplicity}
@@ -136,6 +135,15 @@ def handle_sphere(args: argparse.Namespace) -> Table:
 
 
 def handle_berger(args: argparse.Namespace) -> Table:
+    """The --count smallest distinct eigenvalues at --t or --epsilon, a row each.
+
+    A row costs its share of one integer merge plus one int division
+    (`berger._scaled_rows`): no Fraction, Mode or SpectrumEntry is built
+    per value.  The eigenvalue is s (A + B x) with s = t, or s = 1 for
+    --epsilon, and `value` is bit-identical to the float of that exact
+    rational.  A and B are written as the strings the exact columns
+    serialize to.
+    """
     if (args.t is None) == (args.epsilon is None):
         raise ValueError("exactly one of --t and --epsilon is required")
     if args.t is not None:
@@ -158,16 +166,16 @@ def handle_berger(args: argparse.Namespace) -> Table:
     fields = ["n", "value", "A", "B", "mode"]
     if args.with_multiplicity:
         fields.append("multiplicity")
+    try:
+        spectrum = _scaled_rows(x, scale, args.count)
+    except OverflowError as exc:
+        # only --t: the first --count values of A + B x stay below about
+        # 4 count^2 for any x (the q = 0 modes do not depend on x), so
+        # with s = 1 they fit a float and with s = t only a large t overflows
+        raise ValueError(f"--t is too large: {exc}") from None
     rows: list[Row] = []
-    for n, (value, mult, modes) in enumerate(spectrum_with_multiplicity(x, args.count)):
-        m0 = modes[0]
-        row: Row = {
-            "n": n,
-            "value": float(scale * value),
-            "A": Fraction(m0.A),
-            "B": Fraction(m0.B),
-            "mode": _mode_label(modes),
-        }
+    for i, (value, a, b, label, mult) in enumerate(spectrum):
+        row: Row = {"n": i, "value": value, "A": str(a), "B": str(b), "mode": label}
         if args.with_multiplicity:
             row["multiplicity"] = mult
         rows.append(row)
@@ -177,10 +185,7 @@ def handle_berger(args: argparse.Namespace) -> Table:
 def handle_piecewise(args: argparse.Namespace) -> Table:
     if (args.index is None) == (args.slot is None):
         raise ValueError("exactly one of --index and --slot is required")
-    try:
-        x_max = Fraction(args.xmax)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"--xmax must be a rational, got {args.xmax!r}") from None
+    x_max = args.xmax
     if x_max <= 0:
         raise ValueError(f"--xmax must be positive, got {args.xmax}")
     if args.index is not None:
@@ -289,11 +294,10 @@ def handle_plotdata(args: argparse.Namespace) -> Table:
         rows = []
         for k in range(10, 241):
             t = Fraction(k, 200)
-            x = 1 / t**3
-            values = [v for v, _ in distinct_spectrum_at(x, 12)][1:]
+            spectrum = _scaled_rows(1 / t**3, t, 12)
             row: Row = {"t": float(t)}
-            for j, v in enumerate(values, start=1):
-                row[f"l{j}"] = float(t * v)
+            for j, (value, *_) in enumerate(spectrum[1:], start=1):
+                row[f"l{j}"] = value
             rows.append(row)
         return comments, fields, rows
     if args.figure == "fig2":
@@ -316,12 +320,24 @@ def handle_plotdata(args: argparse.Namespace) -> Table:
         r = k * math.pi / 512
         geom = page_slice(r, consts)
         shift = jacobi_shift(geom.ambient)
-        entries = slice_spectrum(geom, 6)
+        shifted, _ = _shifted_spectrum(geom, 6, shift)
         row = {"r": r}
-        for j, e in enumerate(entries, start=1):
-            row[f"ev{j}"] = e.value - shift
+        for j, value in enumerate(shifted, start=1):
+            row[f"ev{j}"] = value
         rows.append(row)
     return comments, fields, rows
+
+
+def _fraction(text: str) -> Fraction:
+    """An exact rational from "1/2", "0.2" or "1e-3", as an argparse type.
+
+    argparse turns only ValueError and TypeError from a type into a usage
+    error, so a zero denominator is reported here.
+    """
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -352,8 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("berger", help="Berger sphere spectrum at fixed t or epsilon")
     # Fraction parses "1/2", "0.2" and "1e-3" exactly; floats would smuggle
     # binary rounding into the exact columns
-    p.add_argument("--t", type=Fraction, default=None)
-    p.add_argument("--epsilon", type=Fraction, default=None)
+    p.add_argument("--t", type=_fraction, default=None)
+    p.add_argument("--epsilon", type=_fraction, default=None)
     p.add_argument("--count", type=int, default=12)
     p.add_argument("--with-multiplicity", action="store_true")
     _add_output_flags(p)
@@ -361,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("piecewise", help="branch partition of one eigenvalue curve")
     p.add_argument("--index", type=int, default=None, help="position among distinct nonzero values")
     p.add_argument("--slot", type=int, default=None, help="curve number in the eleven-curve table")
-    p.add_argument("--xmax", default="20")
+    p.add_argument("--xmax", type=_fraction, default="20")
     _add_output_flags(p)
 
     p = sub.add_parser("index", help="Jacobi index/nullity profiles")

@@ -174,13 +174,17 @@ def page_constants(path: str | None = None, strict: bool = True) -> PageConstant
     """Load the coefficient transcription, verifying its anchors.
 
     With strict=False the anchor checks are skipped; that mode exists for
-    negative-control tests that deliberately corrupt a constant.
+    negative-control tests that deliberately corrupt a constant.  A file
+    that cannot be opened or decoded is a PageConfigError naming the path.
     """
     if path is None:
         text = resources.files(__package__).joinpath(_CONFIG_RESOURCE).read_text()
     else:
-        with open(path) as fh:
-            text = fh.read()
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise PageConfigError(f"cannot read constants file {path}: {exc}") from None
     values = _parse_config(text)
     missing = [k for k in ("a", "f_const", "C", "D") if k not in values]
     if missing:

@@ -102,6 +102,24 @@ def slice_spectrum(geom: SliceGeometry, depth: int = DEFAULT_DEPTH) -> list[Spec
     return entries
 
 
+def _shifted_spectrum(
+    geom: SliceGeometry, depth: int, shift: float
+) -> tuple[list[float], list[int]]:
+    """The first `depth` distinct slice eigenvalues minus `shift`, and their multiplicities.
+
+    One integer merge, no Fraction, Mode or SpectrumEntry per value: with
+    x = P/Q the merge yields numerators n over the common denominator Q,
+    and each value is n / Q / f - shift.  The float n / Q of two ints is
+    correctly rounded, and so is slice_spectrum's float(Fraction(n, Q));
+    both round the same rational, so the values are bit-identical to
+    slice_spectrum's values minus shift.
+    """
+    x = geom.exact_x()
+    Q, f = x.denominator, geom.f
+    groups = _merge(x.numerator, Q, depth, _multiplicity)
+    return [n / Q / f - shift for n, _ in groups], [sum(mults) for _, mults in groups]
+
+
 def slice_index_nullity(
     geom: SliceGeometry,
     depth: int = DEFAULT_DEPTH,
@@ -112,28 +130,21 @@ def slice_index_nullity(
 
     The report is the one index_nullity gives for
     jacobi_spectrum(slice_spectrum(geom, depth), shift), at the cost of
-    one integer merge of `depth` distinct values plus float arithmetic:
-    no Fraction, Mode or SpectrumEntry is built per value.  With
-    x = P/Q the merge yields numerators n over the common denominator Q,
-    and each value is n / Q / f - shift.  The float n / Q of two ints is
-    correctly rounded, and so is slice_spectrum's float(Fraction(n, Q));
-    both round the same rational, so the values are bit-identical to the
-    composed pipeline's.
+    one integer merge of `depth` distinct values plus float arithmetic
+    (`_shifted_spectrum`, whose values are bit-identical to the composed
+    pipeline's).
     """
     shift = jacobi_shift(geom.ambient)
     if zero_tolerance is None:
         zero_tolerance = 1e-9 * max(1.0, abs(shift))
     if not isinstance(depth, int) or depth < 1:
         raise ValueError(f"depth must be a positive integer, got {depth!r}")
-    x = geom.exact_x()
-    Q, f = x.denominator, geom.f
-    groups = _merge(x.numerator, Q, depth, _multiplicity)
-    shifted = [n / Q / f - shift for n, _ in groups]
+    shifted, multiplicities = _shifted_spectrum(geom, depth, shift)
     if shifted[0] != -shift:
         raise ValueError("laplace spectrum must contain the zero eigenvalue")
     report = _count_index_nullity(
         shifted,
-        [sum(mults) for _, mults in groups],
+        multiplicities,
         zero_tolerance,
         parameter=geom.r,
         shift=shift,

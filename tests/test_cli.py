@@ -394,3 +394,51 @@ def test_packaged_page_constants_load_once(capsys, monkeypatch, tmp_path):
 def test_csv_comment_headers(capsys):
     _, out, _ = run(capsys, "piecewise", "--index", "1", "--xmax", "6")
     assert out.startswith("#")
+
+
+@pytest.mark.parametrize("argv", [["index", "page", "--r", "1"], ["plotdata", "fig3"]])
+@pytest.mark.parametrize("kind", ["missing", "directory", "binary"])
+def test_unreadable_page_config_is_rejected(capsys, tmp_path, argv, kind):
+    path = tmp_path / "consts.cfg"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "binary":
+        path.write_bytes(b"a = \xff\xfe\n")
+    code, out, err = run(capsys, *argv, "--page-config", str(path))
+    assert code == 3
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert str(path) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--t", "--epsilon"])
+@pytest.mark.parametrize("value", ["1/0", "2/0", "0/0"])
+def test_berger_zero_denominator_is_a_usage_error(capsys, flag, value):
+    code, out, err = run(capsys, "berger", flag, value, "--count", "3")
+    assert code == 2
+    assert out == ""
+    assert f"argument {flag}: invalid Fraction value: '{value}'" in err
+
+
+def test_berger_value_overflow_is_a_domain_error(capsys):
+    code, out, err = run(capsys, "berger", "--t", "1e400", "--count", "3")
+    assert code == 2
+    assert out == ""
+    assert err == "bergerspec: --t is too large: eigenvalue n = 1 overflows a float\n"
+    # in range, each value is still the float nearest t (A + B t^-3)
+    t = Fraction(10) ** 300
+    code, out, _ = run(capsys, "berger", "--t", "1e300", "--count", "4", "--precision", "17")
+    assert code == 0
+    _, rows = csv_rows(out)
+    assert [(r["A"], r["B"]) for r in rows] == [("0", "0"), ("2", "1"), ("4", "4"), ("6", "9")]
+    for r in rows:
+        assert float(r["value"]) == float(t * (int(r["A"]) + int(r["B"]) / t**3))
+
+
+@pytest.mark.parametrize("value", ["1/0", "abc"])
+def test_piecewise_bad_xmax_is_a_usage_error(capsys, value):
+    code, out, err = run(capsys, "piecewise", "--index", "1", "--xmax", value)
+    assert code == 2
+    assert out == ""
+    assert f"argument --xmax: invalid Fraction value: '{value}'" in err
