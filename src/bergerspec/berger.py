@@ -175,18 +175,30 @@ def _merge(
     k(k+2) Q + q^2 (P - Q), nondecreasing as q runs up from k mod 2
     (P >= Q) or down from k (P < Q).  Stream k + 2 starts strictly above
     stream k, so it joins the heap when the first entry of stream k leaves
-    it.  The merge stops at the first numerator past the `count`-th value:
-    the cost is proportional to the modes returned, times the log of the
-    number of open streams.  P/Q need not be in lowest terms.
+    it.  The merge stops at the first numerator past the `count`-th value.
+    P/Q need not be in lowest terms.
 
-    When the popped stream has a next entry, that entry takes the popped
-    one's place in a single sift (`heapreplace`).  The keys (num, k, sign*q)
-    of distinct modes are distinct, so they are totally ordered and every
-    way of maintaining the heap pops them in the same order: the mode
-    order, and with it modes[0] of each value, does not depend on it.
+    The heap keys (num, k, sign*q) of distinct modes are distinct, so they
+    are totally ordered and every way of maintaining the heap pops them in
+    the same order: the mode order, and with it modes[0] of each value,
+    does not depend on it.  Two rules use that freedom:
+    - When the popped stream has a next entry, that entry takes the popped
+      one's place in a single sift (`heapreplace`), and so does stream
+      k + 2 when stream k has no next entry.
+    - A next entry of the popped stream with the popped numerator joins
+      the current group at once, without a sift.  It is the heap's next
+      key anyway: a key between the two would need the same numerator
+      and another k.  Entries of one stream differ in q^2, so they tie
+      only when P = Q, and then every entry of stream k is k(k+2) Q, a
+      numerator no other stream has.  So at x = 1 the whole stream is
+      taken in ascending q and replaced by stream k + 2: one heap
+      operation per stream instead of one per mode.
+    The cost is the modes returned plus a sift, logarithmic in the number
+    of open streams, per entry that does not tie with its predecessor.
     """
     slope = P - Q
     sign = 1 if slope >= 0 else -1  # heap keys carry sign*q, so ties pop in stream order
+    step = 2 * sign
 
     def first_q(k: int) -> int:
         return k % 2 if slope >= 0 else k
@@ -202,14 +214,26 @@ def _merge(
             if len(groups) == count:
                 return groups
             groups.append((num, []))
+        modes = groups[-1][1]
         q = sign * sq
-        groups[-1][1].append(make(k, q))
-        if 0 <= q + 2 * sign <= k:
-            heapq.heapreplace(heap, entry(k, q + 2 * sign))
+        modes.append(make(k, q))
+        nq = q + step
+        following = entry(k, nq) if 0 <= nq <= k else None
+        if following is not None and following[0] == num:
+            # within stream k only the q^2 (P - Q) part of num differs
+            tied = q * q * slope
+            while 0 <= nq <= k and nq * nq * slope == tied:
+                modes.append(make(k, nq))
+                nq += step
+            following = entry(k, nq) if 0 <= nq <= k else None
+        if following is not None:
+            heapq.heapreplace(heap, following)
+            if q == first_q(k):
+                heapq.heappush(heap, entry(k + 2, first_q(k + 2)))
+        elif q == first_q(k):
+            heapq.heapreplace(heap, entry(k + 2, first_q(k + 2)))
         else:
             heapq.heappop(heap)
-        if q == first_q(k):
-            heapq.heappush(heap, entry(k + 2, first_q(k + 2)))
 
 
 def distinct_spectrum_at(

@@ -14,6 +14,10 @@ BERGERSPEC_PRECISION environment variable).  CSV comment lines start
 with '#'.  Exit status: 0 success, 2 usage or domain error, 3 structural
 error (for example a Page root count other than two).
 
+Each handler returns a table of comments, field names and rows, every
+row a tuple of cells in field order; `emit` writes a CSV table in one
+`csv.writer.writerows` pass.
+
 `main` can be called many times in one process.  The argument parser is
 built once per process, on the first call, and the packaged Page
 constants are read and validated once, on the first request that needs
@@ -76,8 +80,10 @@ class OutputRequest:
     output: str | None = None
 
 
-Row = dict[str, Any]
+Row = tuple  # one cell per field name, in field order
 Table = tuple[list[str], list[str], list[Row]]  # comments, fieldnames, rows
+
+_BOOL_CELL = "boolean cells are not part of any table"
 
 
 def _fmt_real(value: float, precision: int) -> str:
@@ -88,11 +94,13 @@ def _cell(value: Any, precision: int) -> str:
     if isinstance(value, float):
         return _fmt_real(value, precision)
     if isinstance(value, bool):
-        raise TypeError("boolean cells are not part of any table")
+        raise TypeError(_BOOL_CELL)
     return str(value)
 
 
 def _json_cell(value: Any, precision: int) -> Any:
+    if isinstance(value, bool):
+        raise TypeError(_BOOL_CELL)
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, int):
@@ -104,10 +112,9 @@ def _json_cell(value: Any, precision: int) -> Any:
 
 def emit(table: Table, request: OutputRequest) -> None:
     comments, fields, rows = table
+    p = request.precision
     if request.format == "json":
-        payload = [
-            {k: _json_cell(row[k], request.precision) for k in fields} for row in rows
-        ]
+        payload = [{k: _json_cell(v, p) for k, v in zip(fields, row)} for row in rows]
         text = json.dumps(payload, indent=2) + "\n"
     else:
         buf = io.StringIO()
@@ -115,8 +122,19 @@ def emit(table: Table, request: OutputRequest) -> None:
             buf.write(f"# {c}\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(fields)
-        for row in rows:
-            writer.writerow(_cell(row[k], request.precision) for k in fields)
+        # _cell's rule, inline: the writer calls str() on every other cell
+        # itself, but would write None as "" and a bool as "True"
+        writer.writerows(
+            [
+                _fmt_real(v, p)
+                if isinstance(v, float)
+                else _cell(v, p)
+                if v is None or isinstance(v, bool)
+                else v
+                for v in row
+            ]
+            for row in rows
+        )
         text = buf.getvalue()
     if request.output is None:
         sys.stdout.write(text)
@@ -126,10 +144,8 @@ def emit(table: Table, request: OutputRequest) -> None:
 
 
 def handle_sphere(args: argparse.Namespace) -> Table:
-    rows = [
-        {"k": e.degree, "eigenvalue": e.eigenvalue, "multiplicity": e.multiplicity}
-        for e in sphere_spectrum(args.dim, args.kmax)
-    ]
+    """One row per degree 0..--kmax: the cost is proportional to the output."""
+    rows = [(e.degree, e.eigenvalue, e.multiplicity) for e in sphere_spectrum(args.dim, args.kmax)]
     comments = [f"spectrum of the round {args.dim}-sphere through degree {args.kmax}"]
     return comments, ["k", "eigenvalue", "multiplicity"], rows
 
@@ -143,6 +159,12 @@ def handle_berger(args: argparse.Namespace) -> Table:
     --epsilon, and `value` is bit-identical to the float of that exact
     rational.  A and B are written as the strings the exact columns
     serialize to.
+
+    The cost is proportional to the output, which grows faster than
+    --count: the `mode` cell lists every mode attaining the value.  At
+    t = 1, the round sphere, value n carries about n/2 modes, so --count c
+    prints about c^2/4 labels (62,750 at c = 500).  `sphere` likewise
+    prints one row per degree through --kmax.
     """
     if (args.t is None) == (args.epsilon is None):
         raise ValueError("exactly one of --t and --epsilon is required")
@@ -173,12 +195,13 @@ def handle_berger(args: argparse.Namespace) -> Table:
         # 4 count^2 for any x (the q = 0 modes do not depend on x), so
         # with s = 1 they fit a float and with s = t only a large t overflows
         raise ValueError(f"--t is too large: {exc}") from None
-    rows: list[Row] = []
-    for i, (value, a, b, label, mult) in enumerate(spectrum):
-        row: Row = {"n": i, "value": value, "A": str(a), "B": str(b), "mode": label}
-        if args.with_multiplicity:
-            row["multiplicity"] = mult
-        rows.append(row)
+    if args.with_multiplicity:
+        rows = [
+            (i, value, str(a), str(b), label, mult)
+            for i, (value, a, b, label, mult) in enumerate(spectrum)
+        ]
+    else:
+        rows = [(i, value, str(a), str(b), label) for i, (value, a, b, label, _) in enumerate(spectrum)]
     return comments, fields, rows
 
 
@@ -211,15 +234,7 @@ def handle_piecewise(args: argparse.Namespace) -> Table:
     rows = []
     for c in cells:
         hi = x_max if (c.hi == 0 or c.hi > x_max) else c.hi
-        rows.append(
-            {
-                "lo": c.lo,
-                "hi": hi,
-                "A": Fraction(c.branch.A),
-                "B": Fraction(c.branch.B),
-                "mode": c.branch.label(),
-            }
-        )
+        rows.append((c.lo, hi, Fraction(c.branch.A), Fraction(c.branch.B), c.branch.label()))
     return comments, ["lo", "hi", "A", "B", "mode"], rows
 
 
@@ -228,13 +243,7 @@ def _page_setup(args: argparse.Namespace) -> PageConstants:
 
 
 def _index_row(r: float, report: IndexNullityReport) -> Row:
-    return {
-        "r": r,
-        "index": report.index,
-        "nullity": report.nullity,
-        "first_shifted": report.first_shifted,
-        "bound": report.truncation_bound,
-    }
+    return r, report.index, report.nullity, report.first_shifted, report.truncation_bound
 
 
 def handle_index(args: argparse.Namespace) -> Table:
@@ -258,7 +267,7 @@ def handle_index(args: argparse.Namespace) -> Table:
         f"certified roots (tol {args.tol:g}): r1 = {r1!r}, r2 = {r2!r}",
     ]
     if args.roots:
-        rows = [{"root": "r1", "r": r1}, {"root": "r2", "r": r2}]
+        rows = [("r1", r1), ("r2", r2)]
         return comments, ["root", "r"], rows
     radii = [args.r] if args.r is not None else _scan_grid(args.scan, upper=math.pi)
     rows = []
@@ -295,10 +304,7 @@ def handle_plotdata(args: argparse.Namespace) -> Table:
         for k in range(10, 241):
             t = Fraction(k, 200)
             spectrum = _scaled_rows(1 / t**3, t, 12)
-            row: Row = {"t": float(t)}
-            for j, (value, *_) in enumerate(spectrum[1:], start=1):
-                row[f"l{j}"] = value
-            rows.append(row)
+            rows.append((float(t), *[value for value, *_ in spectrum[1:]]))
         return comments, fields, rows
     if args.figure == "fig2":
         comments = ["first Jacobi eigenvalue of the cp2 geodesic spheres: lambda_1(r) - 3/2"]
@@ -306,7 +312,7 @@ def handle_plotdata(args: argparse.Namespace) -> Table:
         rows = []
         for k in range(5, 601):
             r = k / 100
-            rows.append({"r": r, "jacobi_lambda1": cp2_lambda1(r) - 1.5})
+            rows.append((r, cp2_lambda1(r) - 1.5))
         return comments, fields, rows
     consts = _page_setup(args)
     r1, r2 = page_transition_roots(1e-6, consts)
@@ -321,10 +327,7 @@ def handle_plotdata(args: argparse.Namespace) -> Table:
         geom = page_slice(r, consts)
         shift = jacobi_shift(geom.ambient)
         shifted, _ = _shifted_spectrum(geom, 6, shift)
-        row = {"r": r}
-        for j, value in enumerate(shifted, start=1):
-            row[f"ev{j}"] = value
-        rows.append(row)
+        rows.append((r, *shifted))
     return comments, fields, rows
 
 

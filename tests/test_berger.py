@@ -211,6 +211,55 @@ def test_distinct_spectrum_work_is_output_bounded(monkeypatch):
         assert len(built) == sum(len(modes) for _, modes in got)
 
 
+def _merge_oracle(P: int, Q: int, count: int) -> list[tuple[int, list[tuple[int, int]]]]:
+    """The first `count` groups of `_merge(P, Q, count, _pair)`, by brute force.
+
+    Every mode (k, q) up to a k bound with its exact numerator
+    A Q + B P, grouped by numerator and ordered by numerator, then k, then
+    q (ascending for P >= Q, descending for P < Q).  The modes (k, k mod 2)
+    and (k, k) with k <= count give at least count + 1 distinct numerators,
+    so the count-th smallest of them bounds the answer, and
+    A Q + B P >= 2kQ + k^2 min(P, Q) bounds the k that can reach it.
+    """
+
+    def num(k: int, q: int) -> int:
+        return (k * (k + 2) - q * q) * Q + q * q * P
+
+    bound = sorted({num(k, q) for k in range(count + 1) for q in (k % 2, k)})[count - 1]
+    k_max = 0
+    while 2 * (k_max + 1) * Q + (k_max + 1) ** 2 * min(P, Q) <= bound:
+        k_max += 1
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for k in range(k_max + 1):
+        for q in range(k % 2, k + 1, 2):
+            groups.setdefault(num(k, q), []).append((k, q))
+    sign = 1 if P >= Q else -1
+    return [
+        (n, sorted(groups[n], key=lambda m: (m[0], sign * m[1])))
+        for n in sorted(groups)[:count]
+    ]
+
+
+def _check_merge(P: int, Q: int, counts) -> None:
+    oracle = _merge_oracle(P, Q, max(counts))
+    for count in counts:
+        assert berger._merge(P, Q, count, berger._pair) == oracle[:count]
+
+
+# x = 1, also as 7/7; x = 1 +- 1/Q; x far from 1 on both sides
+@pytest.mark.parametrize(
+    "P, Q", [(1, 1), (7, 7), (2, 1), (3, 2), (1, 2), (8, 7), (6, 7), (13, 12), (11, 12), (1, 9), (9, 1)]
+)
+def test_merge_matches_brute_force_grouping(P, Q):
+    _check_merge(P, Q, range(1, 121))
+
+
+@settings(max_examples=80, deadline=None)
+@given(P=st.integers(1, 40), Q=st.integers(1, 40), count=st.integers(1, 120))
+def test_merge_matches_brute_force_grouping_at_random_x(P, Q, count):
+    _check_merge(P, Q, [count])
+
+
 BREAKPOINTS = [
     (gamma_branch(1), beta_branch(2), Fraction(6)),
     (gamma_branch(2), beta_branch(2), Fraction(1)),

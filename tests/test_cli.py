@@ -364,7 +364,7 @@ def test_handler_is_looked_up_per_call(capsys, monkeypatch):
 
     def stub(args):
         seen.append(args.kmax)
-        return [], ["k"], [{"k": args.kmax}]
+        return [], ["k"], [(args.kmax,)]
 
     monkeypatch.setattr(cli, "handle_sphere", stub)
     assert run(capsys, "sphere", "--dim", "3", "--kmax", "4")[:2] == (0, "k\n4\n")

@@ -3,10 +3,14 @@
 The references below are the handlers' former code: Fraction values,
 Mode objects and SpectrumEntry rows from the public spectrum functions.
 Every row must agree with `==`, and so must the emitted CSV and JSON.
+`emit` is checked byte for byte against its former dict-row loop, on a
+table from every handler and on a table of unusual cells.
 """
 
 import contextlib
+import csv
 import io
+import json
 import math
 from fractions import Fraction
 
@@ -14,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bergerspec import cli
 from bergerspec.cli import (
     OutputRequest,
     _cell,
@@ -39,17 +44,22 @@ def _reference_berger_rows(args):
         scale, x = Fraction(1), 1 / args.epsilon**2
     rows = []
     for n, (value, mult, modes) in enumerate(spectrum_with_multiplicity(x, args.count)):
-        row = {
-            "n": n,
-            "value": float(scale * value),
-            "A": Fraction(modes[0].A),
-            "B": Fraction(modes[0].B),
-            "mode": _mode_label(modes),
-        }
+        row = (
+            n,
+            float(scale * value),
+            Fraction(modes[0].A),
+            Fraction(modes[0].B),
+            _mode_label(modes),
+        )
         if args.with_multiplicity:
-            row["multiplicity"] = mult
+            row += (mult,)
         rows.append(row)
     return rows
+
+
+def _exact_as_str(row):
+    """The row with its A and B cells as the strings they serialize to."""
+    return (*row[:2], str(row[2]), str(row[3]), *row[4:])
 
 
 def _emitted(table, fmt, precision):
@@ -89,9 +99,7 @@ def test_berger_rows_match_the_fraction_pipeline(flag, param, count, with_multip
     assert len(table[2]) == len(reference) == count
     for row, ref in zip(table[2], reference):
         # A and B are exact columns: compared as the strings they serialize to
-        assert {**row, "A": str(row["A"]), "B": str(row["B"])} == {
-            **ref, "A": str(ref["A"]), "B": str(ref["B"])
-        }
+        assert _exact_as_str(row) == _exact_as_str(ref)
     _assert_same_output(table, reference)
 
 
@@ -100,7 +108,7 @@ def test_berger_rows_match_where_many_modes_tie():
     for argv, most in ((["--t", "1"], 60), (["--t", "1/2"], 2), (["--epsilon", "1/2"], 2)):
         args = build_parser().parse_args(["berger", *argv, "--count", "120", "--with-multiplicity"])
         table = handle_berger(args)
-        assert max(len(row["mode"].split("+")) for row in table[2]) == most
+        assert max(len(row[4].split("+")) for row in table[2]) == most
         _assert_same_output(table, _reference_berger_rows(args))
 
 
@@ -110,10 +118,7 @@ def test_plotdata_fig1_rows_match_distinct_spectrum_at():
     for k in range(10, 241):
         t = Fraction(k, 200)
         values = [v for v, _ in distinct_spectrum_at(1 / t**3, 12)][1:]
-        row = {"t": float(t)}
-        for j, v in enumerate(values, start=1):
-            row[f"l{j}"] = float(t * v)
-        reference.append(row)
+        reference.append((float(t), *[float(t * v) for v in values]))
     assert table[2] == reference
     _assert_same_output(table, reference)
 
@@ -125,10 +130,7 @@ def test_plotdata_fig3_rows_match_slice_spectrum():
         r = k * math.pi / 512
         geom = page_slice(r, _default_constants())
         shift = jacobi_shift(geom.ambient)
-        row = {"r": r}
-        for j, e in enumerate(slice_spectrum(geom, 6), start=1):
-            row[f"ev{j}"] = e.value - shift
-        reference.append(row)
+        reference.append((r, *[e.value - shift for e in slice_spectrum(geom, 6)]))
     assert table[2] == reference
     _assert_same_output(table, reference)
 
@@ -161,3 +163,82 @@ def test_cell_formats_exact_types_and_subclasses_alike(value, text):
 def test_cell_rejects_booleans(value):
     with pytest.raises(TypeError, match="boolean"):
         _cell(value, 12)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("value", [True, False])
+def test_emit_rejects_boolean_cells_in_both_formats(fmt, value):
+    with pytest.raises(TypeError, match="boolean"):
+        _emitted(([], ["x"], [(value,)]), fmt, 12)
+
+
+def _former_emit(table, fmt, precision):
+    """emit as it was with dict rows: a writerow and a cell call per cell."""
+
+    def cell(value):
+        if isinstance(value, float):
+            return f"{value:.{precision}g}"
+        if isinstance(value, bool):
+            raise TypeError("boolean cells are not part of any table")
+        return str(value)
+
+    def json_cell(value):
+        if isinstance(value, Fraction):
+            return str(value)
+        if isinstance(value, int):
+            return value
+        if isinstance(value, float):
+            return float(f"{value:.{precision}g}")
+        return str(value)
+
+    comments, fields, tuple_rows = table
+    rows = [dict(zip(fields, row, strict=True)) for row in tuple_rows]
+    if fmt == "json":
+        payload = [{k: json_cell(row[k]) for k in fields} for row in rows]
+        return json.dumps(payload, indent=2) + "\n"
+    buf = io.StringIO()
+    for c in comments:
+        buf.write(f"# {c}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fields)
+    for row in rows:
+        writer.writerow(cell(row[k]) for k in fields)
+    return buf.getvalue()
+
+
+_HANDLER_ARGV = [
+    ["sphere", "--dim", "3", "--kmax", "12"],
+    ["berger", "--t", "1.41", "--count", "200"],
+    ["berger", "--t", "1", "--count", "60", "--with-multiplicity"],
+    ["berger", "--epsilon", "3/7", "--count", "80", "--with-multiplicity"],
+    ["piecewise", "--index", "7", "--xmax", "20"],
+    ["piecewise", "--slot", "5"],
+    ["index", "cp2", "--scan", "0.05", "3", "40"],
+    ["index", "page", "--scan", "0.1", "3", "12"],
+    ["index", "page", "--roots"],
+    ["plotdata", "fig1"],
+    ["plotdata", "fig2"],
+    ["plotdata", "fig3"],
+]
+
+
+@pytest.mark.parametrize("argv", _HANDLER_ARGV, ids=" ".join)
+def test_emit_matches_the_former_dict_row_emit(argv):
+    args = build_parser().parse_args(argv)
+    table = getattr(cli, f"handle_{args.command}")(args)
+    for fmt in ("csv", "json"):
+        for precision in (12, 17):
+            assert _emitted(table, fmt, precision) == _former_emit(table, fmt, precision)
+
+
+def test_emit_matches_the_former_dict_row_emit_on_unusual_cells():
+    fields = ["float", "sub_float", "int", "sub_int", "fraction", "none", "text"]
+    rows = [
+        (0.1, _Float(2 / 3), 7, _Int(-3), Fraction(3, 4), None, "a,b"),
+        (1e300, _Float(-0.0), 0, _Int(0), Fraction(-5), None, 'say "hi"'),
+        (float("inf"), _Float(1e-310), 10**30, _Int(2**70), Fraction(1, 3), None, "two\nlines"),
+    ]
+    table = (["a comment, with a comma"], fields, rows)
+    for fmt in ("csv", "json"):
+        for precision in (1, 12, 17):
+            assert _emitted(table, fmt, precision) == _former_emit(table, fmt, precision)
