@@ -320,10 +320,10 @@ def branch_crossing(b1: AffineBranch, b2: AffineBranch) -> Fraction | None:
 
 @dataclass(frozen=True)
 class PiecewiseCell:
-    """One cell (lo, hi] of a piecewise branch assignment."""
+    """One cell (lo, hi] of a piecewise branch assignment; hi is None when unbounded."""
 
     lo: Fraction
-    hi: Fraction
+    hi: Fraction | None
     branch: AffineBranch
 
 
@@ -405,45 +405,50 @@ def kth_distinct_piecewise(i: int, x_max: RationalLike) -> list[PiecewiseCell]:
     return cells
 
 
+# The twelve named curves gamma_1..gamma_9, alpha_3, beta_2 and beta_4,
+# ranked just right of x = 0 by (A, B), as _level_walk ranks its pool.
+_SLOT_CURVES = sorted(
+    [*map(gamma_branch, range(1, 10)), alpha_branch(3), beta_branch(2), beta_branch(4)],
+    key=lambda br: (br.A, br.B),
+)
+
+
+def _slot_curves(slot: int, name: str) -> list[AffineBranch]:
+    """The curves ranked slot..12, whose lower envelope is table slot `slot`."""
+    if not 1 <= slot < len(_SLOT_CURVES):
+        raise ValueError(f"{name} must be in 1..{len(_SLOT_CURVES) - 1}, got {slot!r}")
+    return _SLOT_CURVES[slot - 1 :]
+
+
 def eleven_slot_table() -> list[list[PiecewiseCell]]:
     """The conventional eleven-curve table of the low spectrum.
 
-    Slot j keeps its identity across branch crossings (curves trade places
-    instead of trading labels), so slots differ from distinct-value
-    positions wherever two curves have crossed.  The last cell of each
-    slot nominally extends to infinity; it is encoded with hi = 0 meaning
-    unbounded.
+    Rank the twelve curves gamma_1..gamma_9, alpha_3, beta_2 and beta_4 by
+    (A, B), their order just right of x = 0.  Slot j is the lower envelope
+    of the curves ranked j..12, walked as the first level of their
+    arrangement (`_level_walk`).  So a slot keeps its curve across a
+    crossing with a curve ranked above it, and slots differ from
+    distinct-value positions wherever two curves have crossed.
+
+    The walk runs to x = max A = 24: two curves with different B cross at
+    |dA|/|dB| < max A, so every breakpoint lies before it.  The last cell
+    of each slot lies on a beta line (B = 0): a constant that is the least
+    of the slot's curves at the bound, while every other curve is
+    nondecreasing.  So that cell extends to infinity, and its hi is None.
     """
-    inf = Fraction(0)  # sentinel for an unbounded right end
-
-    def cell(lo, hi, branch):
-        return PiecewiseCell(Fraction(lo), Fraction(hi), branch)
-
-    g, al, be = gamma_branch, alpha_branch, beta_branch
-    return [
-        [cell(0, 6, g(1)), cell(6, inf, be(2))],
-        [cell(0, 1, g(2)), cell(1, inf, be(2))],
-        [cell(0, Fraction(2, 9), g(3)), cell(Fraction(2, 9), inf, be(2))],
-        [cell(0, inf, be(2))],
-        [cell(0, Fraction(2, 5), g(4)), cell(Fraction(2, 5), 10, al(3)), cell(10, inf, be(4))],
-        [cell(0, Fraction(1, 6), g(5)), cell(Fraction(1, 6), 10, al(3)), cell(10, inf, be(4))],
-        [cell(0, Fraction(2, 35), g(6)), cell(Fraction(2, 35), 10, al(3)), cell(10, inf, be(4))],
-        [cell(0, 10, al(3)), cell(10, inf, be(4))],
-        [cell(0, Fraction(10, 49), g(7)), cell(Fraction(10, 49), inf, be(4))],
-        [cell(0, Fraction(1, 8), g(8)), cell(Fraction(1, 8), inf, be(4))],
-        [cell(0, Fraction(2, 27), g(9)), cell(Fraction(2, 27), inf, be(4))],
-    ]
+    x_max = Fraction(max(br.A for br in _SLOT_CURVES))
+    table = []
+    for j in range(1, len(_SLOT_CURVES)):
+        *cells, last = _level_walk(_slot_curves(j, "slot"), 1, x_max)
+        assert last.branch.B == 0, f"slot {j} ends on {last.branch.label()}, not a beta line"
+        table.append([*cells, replace(last, hi=None)])
+    return table
 
 
 def slot_value_at(slot: int, x: RationalLike) -> Fraction:
-    """Coefficient value of table slot `slot` (1-based) at x."""
+    """Coefficient value of table slot `slot` (1-based) at x: the least of its curves."""
     xf = _as_positive_fraction(x, "x")
-    if not 1 <= slot <= 11:
-        raise ValueError(f"slot must be in 1..11, got {slot!r}")
-    for c in eleven_slot_table()[slot - 1]:
-        if xf <= c.hi or c.hi == 0:
-            return c.branch.value_at(xf)
-    raise AssertionError("unreachable: last slot cell is unbounded")
+    return min(br.value_at(xf) for br in _slot_curves(slot, "slot"))
 
 
 def tanno_lambda1(t: float) -> float:
@@ -476,6 +481,4 @@ def epsilon_lambda1(eps: float) -> float:
     if eps <= 0:
         raise ValueError(f"epsilon must be positive, got {eps!r}")
     t = eps ** (2.0 / 3.0)
-    source = Mode(1, 1) if t ** -3 <= 6 else Mode(2, 0)
-    entry = SpectrumEntry(tanno_lambda1(t), mode_multiplicity(source), source)
-    return scale_spectrum([entry], t)[0].value
+    return tanno_lambda1(t) / t

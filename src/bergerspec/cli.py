@@ -40,8 +40,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from .berger import (  # noqa: F401  (distinct_spectrum_at, spectrum_with_multiplicity: bench/tracing.py wraps them here)
+from .berger import (  # noqa: F401  (distinct_spectrum_at, eleven_slot_table, spectrum_with_multiplicity: bench/tracing.py wraps them here)
+    _level_walk,
     _scaled_rows,
+    _slot_curves,
     distinct_spectrum_at,
     eleven_slot_table,
     kth_distinct_piecewise,
@@ -218,23 +220,15 @@ def handle_piecewise(args: argparse.Namespace) -> Table:
             "eigenvalue = t (A + B x) on each cell, x = t^-3",
         ]
     else:
-        table = eleven_slot_table()
-        if not 1 <= args.slot <= len(table):
-            raise ValueError(f"--slot must be in 1..{len(table)}, got {args.slot}")
-        cells = [
-            c
-            for c in table[args.slot - 1]
-            if c.lo < x_max
-        ]
+        cells = _level_walk(_slot_curves(args.slot, "--slot"), 1, x_max)
         comments = [
             f"curve {args.slot} of the eleven-curve table on (0, {x_max}]",
             "slots keep their branch identity across crossings; they are not",
             "the ascending distinct-value order wherever curves have crossed",
         ]
-    rows = []
-    for c in cells:
-        hi = x_max if (c.hi == 0 or c.hi > x_max) else c.hi
-        rows.append((c.lo, hi, Fraction(c.branch.A), Fraction(c.branch.B), c.branch.label()))
+    rows = [
+        (c.lo, c.hi, Fraction(c.branch.A), Fraction(c.branch.B), c.branch.label()) for c in cells
+    ]
     return comments, ["lo", "hi", "A", "B", "mode"], rows
 
 

@@ -24,7 +24,6 @@ from .berger import (
     SpectrumEntry,
     _merge,
     _multiplicity,
-    scale_spectrum,
     spectrum_with_multiplicity,
     tanno_lambda1,
 )
@@ -174,8 +173,10 @@ def cp2_lambda1(r: float) -> float:
     (3 + r^2)(1 + r^2)/r^2 for r <= sqrt(5) and 8(1 + r^2)/r^2 beyond.
     """
     geom = cp2_slice(r)
-    entry = SpectrumEntry(tanno_lambda1(geom.t), 1)
-    return scale_spectrum([entry], geom.mu)[0].value
+    mu = geom.mu
+    if mu == 0.0:  # f w underflows for r below about 1e-108, where f and w do not
+        raise ValueError(f"radius r = {r!r} is too small: the volume factor (f w)^(2/3) underflows")
+    return tanno_lambda1(geom.t) / mu
 
 
 def cp2_lambda1_exact(r_squared: Fraction) -> Fraction:

@@ -103,7 +103,7 @@ def test_criterion_03_eleven_eigenvalue_list():
     # formula's value occurs among the computed distinct values
     for slot in eleven_slot_table():
         for cell in slot:
-            hi = cell.lo + 10 if cell.hi == 0 else cell.hi
+            hi = cell.lo + 10 if cell.hi is None else cell.hi
             for j in range(1, 21):
                 x = cell.lo + (hi - cell.lo) * Fraction(j, 21)
                 values = {v for v, _ in distinct_spectrum_at(x, 40)}

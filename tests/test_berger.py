@@ -1,6 +1,8 @@
 """Exact-engine tests: modes, branch arithmetic, envelopes, Tanno forms."""
 
+import contextlib
 import csv
+import io
 import random
 from fractions import Fraction
 
@@ -481,6 +483,74 @@ def test_slot_table_shape():
         slot_value_at(0, 1)
     with pytest.raises(ValueError):
         slot_value_at(12, 1)
+
+
+def _typed_slot_table():
+    """The eleven-slot table as it was once typed by hand: the oracle for the derived one."""
+
+    def cell(lo, hi, branch):
+        return PiecewiseCell(Fraction(lo), None if hi is None else Fraction(hi), branch)
+
+    g, al, be = gamma_branch, alpha_branch, beta_branch
+    return [
+        [cell(0, 6, g(1)), cell(6, None, be(2))],
+        [cell(0, 1, g(2)), cell(1, None, be(2))],
+        [cell(0, Fraction(2, 9), g(3)), cell(Fraction(2, 9), None, be(2))],
+        [cell(0, None, be(2))],
+        [cell(0, Fraction(2, 5), g(4)), cell(Fraction(2, 5), 10, al(3)), cell(10, None, be(4))],
+        [cell(0, Fraction(1, 6), g(5)), cell(Fraction(1, 6), 10, al(3)), cell(10, None, be(4))],
+        [cell(0, Fraction(2, 35), g(6)), cell(Fraction(2, 35), 10, al(3)), cell(10, None, be(4))],
+        [cell(0, 10, al(3)), cell(10, None, be(4))],
+        [cell(0, Fraction(10, 49), g(7)), cell(Fraction(10, 49), None, be(4))],
+        [cell(0, Fraction(1, 8), g(8)), cell(Fraction(1, 8), None, be(4))],
+        [cell(0, Fraction(2, 27), g(9)), cell(Fraction(2, 27), None, be(4))],
+    ]
+
+
+_TYPED_SLOTS = _typed_slot_table()
+_SLOT_BREAKPOINTS = sorted({c.hi for slot in _TYPED_SLOTS for c in slot if c.hi is not None})
+
+
+def test_slot_table_is_derived_from_the_level_walk():
+    assert len(_SLOT_BREAKPOINTS) == 10
+    assert repr(eleven_slot_table()) == repr(_TYPED_SLOTS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    slot=st.integers(min_value=1, max_value=11),
+    x_max=st.one_of(
+        st.fractions(min_value=0, max_value=60, max_denominator=1000).filter(lambda x: x > 0),
+        st.sampled_from([*_SLOT_BREAKPOINTS, Fraction(20), Fraction(30), Fraction(48)]),
+    ),
+)
+def test_piecewise_slot_rows_match_the_typed_table(slot, x_max):
+    # the former rule: keep the cells that start below x_max, clip hi to it
+    want = [
+        (c.lo, x_max if (c.hi is None or c.hi > x_max) else c.hi, c.branch)
+        for c in _TYPED_SLOTS[slot - 1]
+        if c.lo < x_max
+    ]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["piecewise", "--slot", str(slot), "--xmax", str(x_max)]) == 0
+    lines = [l for l in out.getvalue().splitlines() if l and not l.startswith("#")]
+    header, *rows = csv.reader(lines)
+    assert header == ["lo", "hi", "A", "B", "mode"]
+    assert rows == [[str(lo), str(hi), str(br.A), str(br.B), br.label()] for lo, hi, br in want]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    slot=st.integers(min_value=1, max_value=11),
+    x=st.one_of(
+        st.fractions(min_value=0, max_value=10**4, max_denominator=1000).filter(lambda x: x > 0),
+        st.sampled_from(_SLOT_BREAKPOINTS),
+    ),
+)
+def test_slot_value_at_matches_the_typed_table(slot, x):
+    cell = next(c for c in _TYPED_SLOTS[slot - 1] if c.hi is None or x <= c.hi)
+    assert slot_value_at(slot, x) == cell.branch.value_at(x)
 
 
 def test_tanno_lambda1():

@@ -124,6 +124,13 @@ def test_piecewise_usage(capsys):
     assert run(capsys, "piecewise", "--slot", "20", "--xmax", "5")[0] == 2
 
 
+@pytest.mark.parametrize("slot", ["0", "12", "-1"])
+def test_piecewise_slot_out_of_range_names_the_flag(capsys, slot):
+    code, out, err = run(capsys, "piecewise", "--slot", slot)
+    assert (code, out) == (2, "")
+    assert err == f"bergerspec: --slot must be in 1..11, got {slot}\n"
+
+
 def test_piecewise_rational_xmax(capsys):
     code, out, _ = run(capsys, "piecewise", "--index", "1", "--xmax", "9/2")
     assert code == 0

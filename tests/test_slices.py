@@ -54,6 +54,9 @@ def test_cp2_lambda1_values():
     assert cp2_lambda1(1.0) == pytest.approx(8.0, rel=1e-12)
     assert cp2_lambda1(math.sqrt(5.0)) == pytest.approx(9.6, rel=1e-12)
     assert cp2_lambda1(3.0) == pytest.approx(80.0 / 9.0, rel=1e-12)
+    # f and w are positive floats here, but (f w)^(2/3) underflows to 0
+    with pytest.raises(ValueError, match=r"^radius r = 1e-120 is too small"):
+        cp2_lambda1(1e-120)
 
 
 def test_cp2_lambda1_exact_rationals():
