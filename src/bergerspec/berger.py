@@ -178,24 +178,24 @@ def _merge(
     it.  The merge stops at the first numerator past the `count`-th value.
     P/Q need not be in lowest terms.
 
+    At P = Q every entry of stream k is k(k+2) Q, a numerator no other
+    stream has, so value j is all of stream j in ascending q; that case is
+    returned in closed form.  Otherwise entries of one stream differ in
+    q^2 (P - Q), so no two of them tie.
+
     The heap keys (num, k, sign*q) of distinct modes are distinct, so they
     are totally ordered and every way of maintaining the heap pops them in
     the same order: the mode order, and with it modes[0] of each value,
-    does not depend on it.  Two rules use that freedom:
-    - When the popped stream has a next entry, that entry takes the popped
-      one's place in a single sift (`heapreplace`), and so does stream
-      k + 2 when stream k has no next entry.
-    - A next entry of the popped stream with the popped numerator joins
-      the current group at once, without a sift.  It is the heap's next
-      key anyway: a key between the two would need the same numerator
-      and another k.  Entries of one stream differ in q^2, so they tie
-      only when P = Q, and then every entry of stream k is k(k+2) Q, a
-      numerator no other stream has.  So at x = 1 the whole stream is
-      taken in ascending q and replaced by stream k + 2: one heap
-      operation per stream instead of one per mode.
-    The cost is the modes returned plus a sift, logarithmic in the number
-    of open streams, per entry that does not tie with its predecessor.
+    does not depend on it.  When the popped stream has a next entry, that
+    entry takes the popped one's place in a single sift (`heapreplace`),
+    and so does stream k + 2 when stream k has no next entry.
+    The cost is a sift, logarithmic in the number of open streams, per
+    mode returned.
     """
+    if P == Q:
+        return [
+            (k * (k + 2) * Q, [make(k, q) for q in range(k % 2, k + 1, 2)]) for k in range(count)
+        ]
     slope = P - Q
     sign = 1 if slope >= 0 else -1  # heap keys carry sign*q, so ties pop in stream order
     step = 2 * sign
@@ -214,20 +214,11 @@ def _merge(
             if len(groups) == count:
                 return groups
             groups.append((num, []))
-        modes = groups[-1][1]
         q = sign * sq
-        modes.append(make(k, q))
+        groups[-1][1].append(make(k, q))
         nq = q + step
-        following = entry(k, nq) if 0 <= nq <= k else None
-        if following is not None and following[0] == num:
-            # within stream k only the q^2 (P - Q) part of num differs
-            tied = q * q * slope
-            while 0 <= nq <= k and nq * nq * slope == tied:
-                modes.append(make(k, nq))
-                nq += step
-            following = entry(k, nq) if 0 <= nq <= k else None
-        if following is not None:
-            heapq.heapreplace(heap, following)
+        if 0 <= nq <= k:
+            heapq.heapreplace(heap, entry(k, nq))
             if q == first_q(k):
                 heapq.heappush(heap, entry(k + 2, first_q(k + 2)))
         elif q == first_q(k):
@@ -268,19 +259,19 @@ def _pair(k: int, q: int) -> tuple[int, int]:
 
 def _scaled_rows(
     x: Fraction, scale: Fraction, count: int
-) -> list[tuple[float, int, int, str, int]]:
-    """Rows (value, A, B, label, multiplicity) of the `count` smallest distinct values.
+) -> list[tuple[float, list[tuple[int, int]]]]:
+    """(value, pairs) for each of the `count` smallest distinct values.
 
-    value is the float of scale * (A + B x) for a positive rational x; A
-    and B are those of the first mode attaining it, label joins the
-    Mode.label of every such mode with '+', and multiplicity is their
-    total.  A row costs its share of one integer merge plus one int
-    division: no Fraction or Mode is built per value.  With x = P/Q the
-    merge yields numerators n over Q, and value is the true division
-    (scale.numerator * n) / (scale.denominator * Q) of two ints.  That is
-    correctly rounded, and so is float(scale * Fraction(n, Q)); both round
-    the same rational, so value is bit-identical to the float of the exact
-    product.  A value past the float range raises OverflowError.
+    value is the float of scale * (A + B x) for a positive rational x, and
+    pairs lists the modes (k, q) attaining it in `_merge`'s order; the
+    caller builds only the cells it prints from them.  A value costs its
+    share of one integer merge plus one int division: no Fraction or Mode
+    is built per value.  With x = P/Q the merge yields numerators n over
+    Q, and value is the true division (scale.numerator * n) /
+    (scale.denominator * Q) of two ints.  That is correctly rounded, and
+    so is float(scale * Fraction(n, Q)); both round the same rational, so
+    value is bit-identical to the float of the exact product.  A value
+    past the float range raises OverflowError.
     """
     _check_count(count)
     Q = x.denominator
@@ -291,16 +282,7 @@ def _scaled_rows(
             value = num * n / den
         except OverflowError:
             raise OverflowError(f"eigenvalue n = {i} overflows a float") from None
-        k, q = pairs[0]
-        rows.append(
-            (
-                value,
-                k * (k + 2) - q * q,
-                q * q,
-                "+".join([f"({k},{q})" for k, q in pairs]),
-                sum([_multiplicity(k, q) for k, q in pairs]),
-            )
-        )
+        rows.append((value, pairs))
     return rows
 
 

@@ -15,8 +15,11 @@ with '#'.  Exit status: 0 success, 2 usage or domain error, 3 structural
 error (for example a Page root count other than two).
 
 Each handler returns a table of comments, field names and rows, every
-row a tuple of cells in field order; `emit` writes a CSV table in one
-`csv.writer.writerows` pass.
+row a tuple of cells in field order.  `emit` converts the table column
+by column: a column of exact ints and strs is written as it is, a column
+of exact floats is formatted in one pass, and any other column cell by
+cell (`_cell` for CSV, `_json_cell` for JSON).  CSV is then written in
+one `csv.writer.writerows` pass.
 
 `main` can be called many times in one process.  The argument parser is
 built once per process, on the first call, and the packaged Page
@@ -42,6 +45,7 @@ from typing import Any
 
 from .berger import (  # noqa: F401  (distinct_spectrum_at, eleven_slot_table, spectrum_with_multiplicity: bench/tracing.py wraps them here)
     _level_walk,
+    _multiplicity,
     _scaled_rows,
     _slot_curves,
     distinct_spectrum_at,
@@ -86,6 +90,10 @@ Row = tuple  # one cell per field name, in field order
 Table = tuple[list[str], list[str], list[Row]]  # comments, fieldnames, rows
 
 _BOOL_CELL = "boolean cells are not part of any table"
+# column cell types `emit` converts as a whole; type() is exact, so bool
+# and every other subclass fall through to the per-cell rule
+_PLAIN_KINDS = frozenset({int, str})
+_FLOAT_KINDS = frozenset({float})
 
 
 def _fmt_real(value: float, precision: int) -> str:
@@ -113,10 +121,35 @@ def _json_cell(value: Any, precision: int) -> Any:
 
 
 def emit(table: Table, request: OutputRequest) -> None:
+    """Write the table as CSV or JSON, converting it column by column.
+
+    The rows are transposed once, and each column's conversion is chosen
+    once from the set of its cell types: a column of exact ints and strs
+    goes through unchanged, a column of exact floats is formatted in one
+    pass to --precision digits, and any other column (None, bool,
+    Fraction, a subclass, or mixed types) goes cell by cell through
+    `_cell` or `_json_cell`.  So every cell gets the per-cell rule's
+    bytes: None still prints "None" and a bool still raises.  Both
+    formats take this one pass; CSV writes the columns back as rows in
+    one `writerows` call.
+    """
     comments, fields, rows = table
     p = request.precision
-    if request.format == "json":
-        payload = [{k: _json_cell(v, p) for k, v in zip(fields, row)} for row in rows]
+    as_json = request.format == "json"
+    cell = _json_cell if as_json else _cell
+    real = f"{{:.{p}g}}".format  # _fmt_real's spec, built once per call
+    cols: list[Any] = []
+    for col in zip(*rows):
+        kinds = set(map(type, col))
+        if kinds <= _PLAIN_KINDS:
+            cols.append(col)
+        elif kinds == _FLOAT_KINDS:
+            texts = list(map(real, col))
+            cols.append(list(map(float, texts)) if as_json else texts)
+        else:
+            cols.append([cell(v, p) for v in col])
+    if as_json:
+        payload = [dict(zip(fields, row)) for row in zip(*cols)]
         text = json.dumps(payload, indent=2) + "\n"
     else:
         buf = io.StringIO()
@@ -124,19 +157,7 @@ def emit(table: Table, request: OutputRequest) -> None:
             buf.write(f"# {c}\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(fields)
-        # _cell's rule, inline: the writer calls str() on every other cell
-        # itself, but would write None as "" and a bool as "True"
-        writer.writerows(
-            [
-                _fmt_real(v, p)
-                if isinstance(v, float)
-                else _cell(v, p)
-                if v is None or isinstance(v, bool)
-                else v
-                for v in row
-            ]
-            for row in rows
-        )
+        writer.writerows(zip(*cols))
         text = buf.getvalue()
     if request.output is None:
         sys.stdout.write(text)
@@ -159,8 +180,11 @@ def handle_berger(args: argparse.Namespace) -> Table:
     (`berger._scaled_rows`): no Fraction, Mode or SpectrumEntry is built
     per value.  The eigenvalue is s (A + B x) with s = t, or s = 1 for
     --epsilon, and `value` is bit-identical to the float of that exact
-    rational.  A and B are written as the strings the exact columns
-    serialize to.
+    rational.  A and B, those of the first mode attaining the value, are
+    written as the strings the exact columns serialize to.  A, B and the
+    label are built here from the merge's (k, q) pairs, and the
+    multiplicity sum only under --with-multiplicity: no cell is built that
+    the table does not print.
 
     The cost is proportional to the output, which grows faster than
     --count: the `mode` cell lists every mode attaining the value.  At
@@ -197,13 +221,14 @@ def handle_berger(args: argparse.Namespace) -> Table:
         # 4 count^2 for any x (the q = 0 modes do not depend on x), so
         # with s = 1 they fit a float and with s = t only a large t overflows
         raise ValueError(f"--t is too large: {exc}") from None
-    if args.with_multiplicity:
-        rows = [
-            (i, value, str(a), str(b), label, mult)
-            for i, (value, a, b, label, mult) in enumerate(spectrum)
-        ]
-    else:
-        rows = [(i, value, str(a), str(b), label) for i, (value, a, b, label, _) in enumerate(spectrum)]
+    rows = []
+    for i, (value, pairs) in enumerate(spectrum):
+        k, q = pairs[0]
+        label = "+".join([f"({mk},{mq})" for mk, mq in pairs])
+        row = (i, value, str(k * (k + 2) - q * q), str(q * q), label)
+        if args.with_multiplicity:
+            row = (*row, sum([_multiplicity(mk, mq) for mk, mq in pairs]))
+        rows.append(row)
     return comments, fields, rows
 
 
@@ -241,6 +266,12 @@ def _index_row(r: float, report: IndexNullityReport) -> Row:
 
 
 def handle_index(args: argparse.Namespace) -> Table:
+    """Index and nullity rows at --r, along --scan, or the page --roots.
+
+    A row costs one integer merge of --depth distinct values plus float
+    arithmetic, so a --scan RMIN RMAX STEPS costs one such merge per step:
+    its cost is proportional to its output.
+    """
     if (args.r is not None) + (args.scan is not None) + args.roots != 1:
         raise ValueError("exactly one of --r, --scan, --roots is required")
     fields = ["r", "index", "nullity", "first_shifted", "bound"]
@@ -298,7 +329,7 @@ def handle_plotdata(args: argparse.Namespace) -> Table:
         for k in range(10, 241):
             t = Fraction(k, 200)
             spectrum = _scaled_rows(1 / t**3, t, 12)
-            rows.append((float(t), *[value for value, *_ in spectrum[1:]]))
+            rows.append((float(t), *[value for value, _ in spectrum[1:]]))
         return comments, fields, rows
     if args.figure == "fig2":
         comments = ["first Jacobi eigenvalue of the cp2 geodesic spheres: lambda_1(r) - 3/2"]

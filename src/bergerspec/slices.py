@@ -139,6 +139,13 @@ def slice_index_nullity(
     if not isinstance(depth, int) or depth < 1:
         raise ValueError(f"depth must be a positive integer, got {depth!r}")
     shifted, multiplicities = _shifted_spectrum(geom, depth, shift)
+    if not math.isfinite(shifted[-1]):
+        # n / Q / f overflows for f near the bottom of the float range; an
+        # inf bound would pass the certification check below
+        raise ValueError(
+            f"slice parameter r = {geom.r!r} is out of range: "
+            f"shifted eigenvalue {shifted[-1]!r} is not finite at depth {depth}"
+        )
     if shifted[0] != -shift:
         raise ValueError("laplace spectrum must contain the zero eigenvalue")
     report = _count_index_nullity(

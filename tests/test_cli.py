@@ -239,6 +239,7 @@ def test_index_zero_radius_counts_as_given(capsys, space):
         ["page", "--scan", "1e-200", "1", "3"],
         ["cp2", "--r", "1e200"],
         ["cp2", "--r", "1e-200"],
+        ["cp2", "--r", "1e-160"],
     ],
 )
 def test_index_extreme_radius_is_a_domain_error(capsys, argv):

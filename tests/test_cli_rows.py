@@ -4,7 +4,9 @@ The references below are the handlers' former code: Fraction values,
 Mode objects and SpectrumEntry rows from the public spectrum functions.
 Every row must agree with `==`, and so must the emitted CSV and JSON.
 `emit` is checked byte for byte against its former dict-row loop, on a
-table from every handler and on a table of unusual cells.
+table from every handler, on a table of unusual cells, and on generated
+tables whose columns mix cell types, so every branch of its column rule
+meets the per-cell rule it stands for.
 """
 
 import contextlib
@@ -15,7 +17,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bergerspec import cli
@@ -239,6 +241,62 @@ def test_emit_matches_the_former_dict_row_emit_on_unusual_cells():
         (float("inf"), _Float(1e-310), 10**30, _Int(2**70), Fraction(1, 3), None, "two\nlines"),
     ]
     table = (["a comment, with a comma"], fields, rows)
+    for fmt in ("csv", "json"):
+        for precision in (1, 12, 17):
+            assert _emitted(table, fmt, precision) == _former_emit(table, fmt, precision)
+
+
+def test_emit_writes_a_table_without_rows_as_its_header():
+    table = (["no rows"], ["a", "b"], [])
+    assert _emitted(table, "csv", 12) == "# no rows\na,b\n" == _former_emit(table, "csv", 12)
+    assert _emitted(table, "json", 12) == "[]\n" == _former_emit(table, "json", 12)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_rejects_a_boolean_inside_an_int_column(fmt):
+    rows = [(1, 0.5), (True, 1.5), (3, 2.5)]
+    with pytest.raises(TypeError, match="boolean"):
+        _emitted(([], ["n", "x"], rows), fmt, 12)
+
+
+_CELLS = {
+    "float": st.floats(),  # inf and nan included
+    "sub_float": st.floats().map(_Float),
+    "int": st.integers(),
+    "sub_int": st.integers().map(_Int),
+    "fraction": st.fractions(),
+    "none": st.none(),
+    "text": st.text(alphabet='ab ,"\n', max_size=5),
+}
+
+
+@st.composite
+def _mixed_tables(draw):
+    """A table of 1 to 4 columns, each drawing its cells from 1 to 3 cell kinds."""
+    n_rows = draw(st.integers(0, 6))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=3, unique=True))
+        cell = st.one_of([_CELLS[kind] for kind in kinds])
+        columns.append(draw(st.lists(cell, min_size=n_rows, max_size=n_rows)))
+    fields = [f"c{j}" for j in range(len(columns))]
+    return ["generated"], fields, list(zip(*columns))
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_mixed_tables())
+@example(
+    table=(
+        [],
+        ["float_nan", "float_none", "int_sub", "int_text", "fraction_float"],
+        [
+            (float("nan"), 0.25, 7, 7, Fraction(1, 3)),
+            (float("inf"), None, _Int(-2), "a,b", 2 / 3),
+            (_Float(float("-inf")), 1e-310, 10**30, 'say "hi"\n', Fraction(-5)),
+        ],
+    )
+)
+def test_emit_matches_the_former_dict_row_emit_on_mixed_columns(table):
     for fmt in ("csv", "json"):
         for precision in (1, 12, 17):
             assert _emitted(table, fmt, precision) == _former_emit(table, fmt, precision)
