@@ -25,12 +25,13 @@ l with A = l(l+2), B = 0.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterable, TypeVar, Union
+from itertools import starmap
+from typing import Iterable, Union
 
 RationalLike = Union[int, Fraction, str]
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -88,15 +89,14 @@ class AffineBranch:
 
 @dataclass(frozen=True)
 class SpectrumEntry:
-    """One eigenvalue with multiplicity and a source annotation."""
+    """One eigenvalue with multiplicity and its source: the first mode attaining it, if known."""
 
     value: float
     multiplicity: int
-    source: Mode | str = "constant"
+    source: Mode | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.multiplicity, int) or self.multiplicity < 1:
-            raise ValueError(f"multiplicity must be a positive integer, got {self.multiplicity!r}")
+        _check_count(self.multiplicity, "multiplicity")
 
 
 def branch_of(mode: Mode) -> AffineBranch:
@@ -124,8 +124,7 @@ def beta_branch(l: int) -> AffineBranch:
 
 def mode_value(m: Mode, t: float) -> float:
     """Eigenvalue t*(A + B*t^{-3}) of mode m on g_B^t."""
-    if t <= 0:
-        raise ValueError(f"squash parameter t must be positive, got {t!r}")
+    _check_positive(t, "squash parameter t")
     return t * (m.A + m.B * t ** -3)
 
 
@@ -136,12 +135,15 @@ def mode_multiplicity(m: Mode) -> int:
     fixed k must sum to the harmonic dimension (k+1)^2, and each q > 0
     carries the two circle-weight signs.
     """
-    return _multiplicity(m.k, m.q)
+    return _total_multiplicity([(m.k, m.q)])
 
 
-def _multiplicity(k: int, q: int) -> int:
-    """mode_multiplicity of the mode (k, q), from its indices."""
-    return k + 1 if q == 0 else 2 * (k + 1)
+def _total_multiplicity(pairs: list[tuple[int, int]]) -> int:
+    """Summed mode_multiplicity of the modes (k, q) attaining one value."""
+    total = 0
+    for k, q in pairs:  # a plain loop: no comprehension frame per value
+        total += k + 1 if q == 0 else 2 * (k + 1)
+    return total
 
 
 def enumerate_modes(k_max: int) -> list[Mode]:
@@ -154,24 +156,28 @@ def enumerate_modes(k_max: int) -> list[Mode]:
 def _as_positive_fraction(x: RationalLike, name: str) -> Fraction:
     value = Fraction(x)
     if value <= 0:
-        raise ValueError(f"{name} must be positive, got {x!r}")
+        raise ValueError(f"{name} must be positive, got {value}")
     return value
 
 
-def _check_count(count: int) -> None:
+def _check_positive(value: float, name: str) -> None:
+    if not (math.isfinite(value) and value > 0):  # NaN fails both
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def _check_count(count: int, name: str = "count") -> None:
     if not isinstance(count, int) or count < 1:
-        raise ValueError(f"count must be a positive integer, got {count!r}")
+        raise ValueError(f"{name} must be a positive integer, got {count!r}")
 
 
-def _merge(
-    P: int, Q: int, count: int, make: Callable[[int, int], T]
-) -> list[tuple[int, list[T]]]:
+def _merge(P: int, Q: int, count: int) -> list[tuple[int, list[tuple[int, int]]]]:
     """The `count` smallest distinct branch values at x = P/Q, as numerators over Q.
 
-    Returns [(n, [make(k, q), ...]), ...]: one entry per distinct value
-    n/Q, ascending, with make applied to each mode (k, q) attaining it, in
-    the order distinct_spectrum_at documents.  The values are a k-way
-    merge, in integers, of one sorted stream per k: stream k yields
+    Returns [(n, [(k, q), ...]), ...]: one entry per distinct value n/Q,
+    ascending, with every mode (k, q) attaining it as a plain pair, in the
+    order distinct_spectrum_at documents.  Callers build from the pairs
+    only what they use: Modes, labels or multiplicities.  The values are
+    a k-way merge, in integers, of one sorted stream per k: stream k yields
     k(k+2) Q + q^2 (P - Q), nondecreasing as q runs up from k mod 2
     (P >= Q) or down from k (P < Q).  Stream k + 2 starts strictly above
     stream k, so it joins the heap when the first entry of stream k leaves
@@ -194,7 +200,7 @@ def _merge(
     """
     if P == Q:
         return [
-            (k * (k + 2) * Q, [make(k, q) for q in range(k % 2, k + 1, 2)]) for k in range(count)
+            (k * (k + 2) * Q, [(k, q) for q in range(k % 2, k + 1, 2)]) for k in range(count)
         ]
     slope = P - Q
     sign = 1 if slope >= 0 else -1  # heap keys carry sign*q, so ties pop in stream order
@@ -207,7 +213,7 @@ def _merge(
         return (k * (k + 2) * Q + q * q * slope, k, sign * q)
 
     heap = [entry(0, 0), entry(1, first_q(1))]
-    groups: list[tuple[int, list[T]]] = []
+    groups: list[tuple[int, list[tuple[int, int]]]] = []
     while True:
         num, k, sq = heap[0]
         if not groups or num != groups[-1][0]:
@@ -215,7 +221,7 @@ def _merge(
                 return groups
             groups.append((num, []))
         q = sign * sq
-        groups[-1][1].append(make(k, q))
+        groups[-1][1].append((k, q))
         nq = q + step
         if 0 <= nq <= k:
             heapq.heapreplace(heap, entry(k, nq))
@@ -240,7 +246,10 @@ def distinct_spectrum_at(
     xf = _as_positive_fraction(x, "x")
     _check_count(count)
     Q = xf.denominator
-    return [(Fraction(n, Q), modes) for n, modes in _merge(xf.numerator, Q, count, _known_mode)]
+    return [
+        (Fraction(n, Q), list(starmap(_known_mode, pairs)))
+        for n, pairs in _merge(xf.numerator, Q, count)
+    ]
 
 
 def spectrum_with_multiplicity(
@@ -248,13 +257,9 @@ def spectrum_with_multiplicity(
 ) -> list[tuple[Fraction, int, list[Mode]]]:
     """Like distinct_spectrum_at, adding the total multiplicity per value."""
     return [
-        (value, sum(_multiplicity(m.k, m.q) for m in modes), modes)
+        (value, _total_multiplicity([(m.k, m.q) for m in modes]), modes)
         for value, modes in distinct_spectrum_at(x, count)
     ]
-
-
-def _pair(k: int, q: int) -> tuple[int, int]:
-    return k, q
 
 
 def _scaled_rows(
@@ -277,7 +282,7 @@ def _scaled_rows(
     Q = x.denominator
     num, den = scale.numerator, scale.denominator * Q
     rows = []
-    for i, (n, pairs) in enumerate(_merge(x.numerator, Q, count, _pair)):
+    for i, (n, pairs) in enumerate(_merge(x.numerator, Q, count)):
         try:
             value = num * n / den
         except OverflowError:
@@ -376,8 +381,7 @@ def kth_distinct_piecewise(i: int, x_max: RationalLike) -> list[PiecewiseCell]:
     plus one per point where three or more lines meet and the level keeps
     its line.
     """
-    if not isinstance(i, int) or i < 1:
-        raise ValueError(f"position must be a positive integer, got {i!r}")
+    _check_count(i, "position")
     xm = _as_positive_fraction(x_max, "x_max")
     # one entry per mode; entry 0 is the constant mode (0, 0)
     top = [v for v, modes in distinct_spectrum_at(xm, i + 1) for _ in modes][i]
@@ -439,16 +443,14 @@ def tanno_lambda1(t: float) -> float:
     Equals t(2 + t^{-3}) while t^{-3} <= 6 (mode (1,1)) and 8t beyond
     (mode (2,0)); the two branches agree at t^{-3} = 6.
     """
-    if t <= 0:
-        raise ValueError(f"squash parameter t must be positive, got {t!r}")
+    _check_positive(t, "squash parameter t")
     x = t ** -3
     return t * (2 + x) if x <= 6 else 8 * t
 
 
 def scale_spectrum(entries: Iterable[SpectrumEntry], mu: float) -> list[SpectrumEntry]:
     """Rescale eigenvalues for a metric scaled by mu: values divide by mu."""
-    if mu <= 0:
-        raise ValueError(f"scale factor must be positive, got {mu!r}")
+    _check_positive(mu, "scale factor")
     return [replace(e, value=e.value / mu) for e in entries]
 
 
@@ -460,7 +462,6 @@ def epsilon_lambda1(eps: float) -> float:
     metric mu*g are those of g divided by mu.  The result equals 8 for
     eps <= 1/sqrt(6) and 2 + 1/eps^2 above.
     """
-    if eps <= 0:
-        raise ValueError(f"epsilon must be positive, got {eps!r}")
+    _check_positive(eps, "epsilon")
     t = eps ** (2.0 / 3.0)
     return tanno_lambda1(t) / t

@@ -44,10 +44,11 @@ from fractions import Fraction
 from typing import Any
 
 from .berger import (  # noqa: F401  (distinct_spectrum_at, eleven_slot_table, spectrum_with_multiplicity: bench/tracing.py wraps them here)
+    _as_positive_fraction,
     _level_walk,
-    _multiplicity,
     _scaled_rows,
     _slot_curves,
+    _total_multiplicity,
     distinct_spectrum_at,
     eleven_slot_table,
     kth_distinct_piecewise,
@@ -195,16 +196,12 @@ def handle_berger(args: argparse.Namespace) -> Table:
     if (args.t is None) == (args.epsilon is None):
         raise ValueError("exactly one of --t and --epsilon is required")
     if args.t is not None:
-        if args.t <= 0:
-            raise ValueError(f"--t must be positive, got {args.t}")
-        t = Fraction(args.t)
+        t = _as_positive_fraction(args.t, "--t")
         x = 1 / t**3
         scale = t  # eigenvalue is t (A + B x)
         comments = [f"Berger sphere spectrum at t = {t} (x = t^-3 = {x})"]
     else:
-        if args.epsilon <= 0:
-            raise ValueError(f"--epsilon must be positive, got {args.epsilon}")
-        eps = Fraction(args.epsilon)
+        eps = _as_positive_fraction(args.epsilon, "--epsilon")
         x = 1 / eps**2
         scale = Fraction(1)  # t (A + B x) / mu with mu = t = eps^(2/3)
         comments = [
@@ -227,7 +224,7 @@ def handle_berger(args: argparse.Namespace) -> Table:
         label = "+".join([f"({mk},{mq})" for mk, mq in pairs])
         row = (i, value, str(k * (k + 2) - q * q), str(q * q), label)
         if args.with_multiplicity:
-            row = (*row, sum([_multiplicity(mk, mq) for mk, mq in pairs]))
+            row = (*row, _total_multiplicity(pairs))
         rows.append(row)
     return comments, fields, rows
 
@@ -235,9 +232,7 @@ def handle_berger(args: argparse.Namespace) -> Table:
 def handle_piecewise(args: argparse.Namespace) -> Table:
     if (args.index is None) == (args.slot is None):
         raise ValueError("exactly one of --index and --slot is required")
-    x_max = args.xmax
-    if x_max <= 0:
-        raise ValueError(f"--xmax must be positive, got {args.xmax}")
+    x_max = _as_positive_fraction(args.xmax, "--xmax")
     if args.index is not None:
         cells = kth_distinct_piecewise(args.index, x_max)
         comments = [

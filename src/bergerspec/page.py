@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass, replace
 from importlib import resources
 
+from .berger import _check_positive
 from .jacobi import EinsteinAmbient, IndexNullityReport
 from .slices import DEFAULT_DEPTH, SliceGeometry, find_root_bisection, slice_index_nullity
 
@@ -249,8 +250,7 @@ def page_transition_roots(
     coefficient transcription is structurally wrong, and is an error
     rather than a value, on every call.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
+    _check_positive(tol, "tolerance")
     c = constants or _default_constants()
     brackets = c.root_brackets
     if len(brackets) != 2:

@@ -20,10 +20,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .berger import (
+from .berger import (  # noqa: F401  (spectrum_with_multiplicity: bench/tracing.py wraps it here)
     SpectrumEntry,
+    _as_positive_fraction,
+    _check_count,
+    _check_positive,
+    _known_mode,
     _merge,
-    _multiplicity,
+    _total_multiplicity,
     spectrum_with_multiplicity,
     tanno_lambda1,
 )
@@ -89,34 +93,43 @@ def slice_spectrum(geom: SliceGeometry, depth: int = DEFAULT_DEPTH) -> list[Spec
 
     Branch values are grouped exactly in the coordinate A + B x before the
     single division by f, so equal eigenvalues merge with summed
-    multiplicities and no floating-point tolerance is involved.
+    multiplicities and no floating-point tolerance is involved.  Each
+    entry's source is the first mode attaining it (`_shifted_spectrum`
+    with shift 0), so the constant eigenvalue has source Mode(0, 0).
     """
-    if depth < 1:
-        raise ValueError(f"depth must be a positive integer, got {depth!r}")
-    x = geom.exact_x()
-    entries = []
-    for value, mult, modes in spectrum_with_multiplicity(x, depth):
-        source = "constant" if value == 0 else modes[0]
-        entries.append(SpectrumEntry(float(value) / geom.f, mult, source))
-    return entries
+    values, groups = _shifted_spectrum(geom, depth, 0.0)
+    return [
+        SpectrumEntry(value, _total_multiplicity(pairs), _known_mode(*pairs[0]))
+        for value, (_, pairs) in zip(values, groups)
+    ]
 
 
 def _shifted_spectrum(
     geom: SliceGeometry, depth: int, shift: float
-) -> tuple[list[float], list[int]]:
-    """The first `depth` distinct slice eigenvalues minus `shift`, and their multiplicities.
+) -> tuple[list[float], list[tuple[int, list[tuple[int, int]]]]]:
+    """The first `depth` distinct slice eigenvalues minus `shift`, and the merge behind them.
 
-    One integer merge, no Fraction, Mode or SpectrumEntry per value: with
-    x = P/Q the merge yields numerators n over the common denominator Q,
-    and each value is n / Q / f - shift.  The float n / Q of two ints is
-    correctly rounded, and so is slice_spectrum's float(Fraction(n, Q));
-    both round the same rational, so the values are bit-identical to
-    slice_spectrum's values minus shift.
+    Every slice value is computed here, from one integer merge (`_merge`,
+    whose groups (n, [(k, q), ...]) are returned as they are) with no
+    Fraction, Mode or SpectrumEntry per value: with x = P/Q the merge
+    yields numerators n over the common denominator Q, and each value is
+    n / Q / f - shift, where the float n / Q of two ints is correctly
+    rounded.  A value that is not finite (n / Q / f overflows for f near
+    the bottom of the float range) is a domain error that names r, for
+    slice_spectrum and slice_index_nullity alike: an inf bound would pass
+    the certification check.
     """
+    _check_count(depth, "depth")
     x = geom.exact_x()
     Q, f = x.denominator, geom.f
-    groups = _merge(x.numerator, Q, depth, _multiplicity)
-    return [n / Q / f - shift for n, _ in groups], [sum(mults) for _, mults in groups]
+    groups = _merge(x.numerator, Q, depth)
+    shifted = [n / Q / f - shift for n, _ in groups]
+    if not math.isfinite(shifted[-1]):
+        raise ValueError(
+            f"slice parameter r = {geom.r!r} is out of range: "
+            f"shifted eigenvalue {shifted[-1]!r} is not finite at depth {depth}"
+        )
+    return shifted, groups
 
 
 def slice_index_nullity(
@@ -127,30 +140,20 @@ def slice_index_nullity(
 ) -> IndexNullityReport:
     """Index and nullity of the slice's Jacobi operator, strict counts.
 
-    The report is the one index_nullity gives for
+    The report, or the ValueError, is the one index_nullity gives for
     jacobi_spectrum(slice_spectrum(geom, depth), shift), at the cost of
     one integer merge of `depth` distinct values plus float arithmetic
-    (`_shifted_spectrum`, whose values are bit-identical to the composed
-    pipeline's).
+    (`_shifted_spectrum`, which computes slice_spectrum's values too).
     """
     shift = jacobi_shift(geom.ambient)
     if zero_tolerance is None:
         zero_tolerance = 1e-9 * max(1.0, abs(shift))
-    if not isinstance(depth, int) or depth < 1:
-        raise ValueError(f"depth must be a positive integer, got {depth!r}")
-    shifted, multiplicities = _shifted_spectrum(geom, depth, shift)
-    if not math.isfinite(shifted[-1]):
-        # n / Q / f overflows for f near the bottom of the float range; an
-        # inf bound would pass the certification check below
-        raise ValueError(
-            f"slice parameter r = {geom.r!r} is out of range: "
-            f"shifted eigenvalue {shifted[-1]!r} is not finite at depth {depth}"
-        )
+    shifted, groups = _shifted_spectrum(geom, depth, shift)
     if shifted[0] != -shift:
         raise ValueError("laplace spectrum must contain the zero eigenvalue")
     report = _count_index_nullity(
         shifted,
-        multiplicities,
+        [_total_multiplicity(pairs) for _, pairs in groups],
         zero_tolerance,
         parameter=geom.r,
         shift=shift,
@@ -166,8 +169,7 @@ def slice_index_nullity(
 
 def cp2_slice(r: float) -> SliceGeometry:
     """Geodesic sphere of radius parameter r in the complex projective plane."""
-    if not (math.isfinite(r) and r > 0):
-        raise ValueError(f"radius must be finite and positive, got {r!r}")
+    _check_positive(r, "radius")
     one_plus = 1.0 + r * r
     return SliceGeometry(r=r, f=r * r / one_plus, w=r / one_plus, ambient=CP2_AMBIENT)
 
@@ -188,9 +190,7 @@ def cp2_lambda1(r: float) -> float:
 
 def cp2_lambda1_exact(r_squared: Fraction) -> Fraction:
     """Closed form of cp2_lambda1 as an exact rational in r^2."""
-    r2 = Fraction(r_squared)
-    if r2 <= 0:
-        raise ValueError(f"r^2 must be positive, got {r_squared!r}")
+    r2 = _as_positive_fraction(r_squared, "r^2")
     if r2 <= 5:
         return (3 + r2) * (1 + r2) / r2
     return 8 * (1 + r2) / r2
@@ -221,8 +221,7 @@ def find_root_bisection(
 
     Requires a strict sign change between finite endpoint values.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
+    _check_positive(tol, "tolerance")
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo!r}, {hi!r}]")
     flo, fhi = fn(lo), fn(hi)

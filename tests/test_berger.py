@@ -214,7 +214,7 @@ def test_distinct_spectrum_work_is_output_bounded(monkeypatch):
 
 
 def _merge_oracle(P: int, Q: int, count: int) -> list[tuple[int, list[tuple[int, int]]]]:
-    """The first `count` groups of `_merge(P, Q, count, _pair)`, by brute force.
+    """The first `count` groups of `_merge(P, Q, count)`, by brute force.
 
     Every mode (k, q) up to a k bound with its exact numerator
     A Q + B P, grouped by numerator and ordered by numerator, then k, then
@@ -245,7 +245,7 @@ def _merge_oracle(P: int, Q: int, count: int) -> list[tuple[int, list[tuple[int,
 def _check_merge(P: int, Q: int, counts) -> None:
     oracle = _merge_oracle(P, Q, max(counts))
     for count in counts:
-        assert berger._merge(P, Q, count, berger._pair) == oracle[:count]
+        assert berger._merge(P, Q, count) == oracle[:count]
 
 
 # x = 1, also as 7/7; x = 1 +- 1/Q; x far from 1 on both sides
@@ -595,6 +595,23 @@ def test_scale_spectrum():
         scale_spectrum(entries, 0.0)
     with pytest.raises(ValueError):
         scale_spectrum(entries, -1.0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("squash parameter t", tanno_lambda1),
+        ("epsilon", epsilon_lambda1),
+        ("squash parameter t", lambda t: mode_value(Mode(1, 1), t)),
+        ("scale factor", lambda mu: scale_spectrum([SpectrumEntry(0.0, 1)], mu)),
+    ],
+)
+def test_float_parameters_must_be_finite_and_positive(name, call, value):
+    # NaN and inf used to pass a `<= 0` check: tanno_lambda1(nan) gave nan,
+    # epsilon_lambda1(inf) nan and scale_spectrum(..., inf) a value 0.0
+    with pytest.raises(ValueError, match=f"^{name} must be finite and positive, got {value!r}$"):
+        call(value)
 
 
 def test_spectrum_entry_validation():

@@ -124,6 +124,21 @@ def test_piecewise_usage(capsys):
     assert run(capsys, "piecewise", "--slot", "20", "--xmax", "5")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["piecewise", "--index", "1", "--xmax", "0"], "--xmax must be positive, got 0"),
+        (["piecewise", "--slot", "1", "--xmax", "0"], "--xmax must be positive, got 0"),
+        (["berger", "--t", "0"], "--t must be positive, got 0"),
+        (["berger", "--epsilon=-1/2"], "--epsilon must be positive, got -1/2"),
+    ],
+)
+def test_nonpositive_exact_flag_is_a_domain_error(capsys, argv, line):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"bergerspec: {line}\n"
+
+
 @pytest.mark.parametrize("slot", ["0", "12", "-1"])
 def test_piecewise_slot_out_of_range_names_the_flag(capsys, slot):
     code, out, err = run(capsys, "piecewise", "--slot", slot)
@@ -154,9 +169,9 @@ def test_index_scan_builds_one_spectrum_per_row(capsys, monkeypatch, space):
     calls = []
     original = berger._merge  # the integer merge behind every spectrum
 
-    def counting(P, Q, count, make):
+    def counting(P, Q, count):
         calls.append(count)
-        return original(P, Q, count, make)
+        return original(P, Q, count)
 
     for module in (berger, slices):
         monkeypatch.setattr(module, "_merge", counting)

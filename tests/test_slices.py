@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from dataclasses import fields
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bergerspec.berger import tanno_lambda1
+from bergerspec.berger import Mode, tanno_lambda1
 from bergerspec.jacobi import IndexNullityReport, index_nullity, jacobi_shift, jacobi_spectrum
 from bergerspec.page import page_constants, page_slice, page_transition_roots
 from bergerspec.slices import (
@@ -94,7 +95,7 @@ def test_slice_spectrum_structure():
     g = cp2_slice(1.0)
     entries = slice_spectrum(g, 6)
     assert entries[0].value == 0.0
-    assert entries[0].source == "constant"
+    assert entries[0].source == Mode(0, 0)
     assert entries[0].multiplicity == 1
     values = [e.value for e in entries]
     assert values == sorted(values)
@@ -139,7 +140,14 @@ def _composed_report(geom, depth, zero_tolerance=None, notes=()):
 
 
 def _assert_same_report(geom, depth, zero_tolerance=None, notes=()):
-    want = _composed_report(geom, depth, zero_tolerance, notes)
+    """The fast path's report equals the composed one; None when both raise the same ValueError."""
+    try:
+        want = _composed_report(geom, depth, zero_tolerance, notes)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            slice_index_nullity(geom, depth, zero_tolerance, notes)
+        assert str(raised.value) == str(exc)
+        return None
     if want.truncation_bound <= want.zero_tolerance:
         with pytest.raises(ValueError, match="does not reach past the shift"):
             slice_index_nullity(geom, depth, zero_tolerance, notes)
@@ -185,6 +193,18 @@ def test_slice_index_nullity_matches_the_composed_pipeline(family):
     check()
 
 
+@pytest.mark.parametrize("r, depth", [(1.6842790254642973e-162, 2), (8.361683340703491e-154, 12)])
+def test_tiny_synthetic_radius_is_the_same_domain_error_on_both_paths(r, depth):
+    # f = sin^2 r is subnormal or nearly so, and the depth-th value n / Q / f
+    # overflows: both paths name r instead of certifying an inf bound
+    geom = synthetic_slice(r)
+    message = f"slice parameter r = {r!r} is out of range: shifted eigenvalue inf is not finite"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)} at depth {depth}$"):
+        slice_spectrum(geom, depth)
+    assert _assert_same_report(geom, depth) is None
+    assert slice_spectrum(geom, depth - 1)[-1].value < math.inf
+
+
 def test_slice_index_nullity_matches_at_the_page_roots():
     # criterion 7's case: nullity 4 at the float roots, so witnesses are kept
     for r in page_transition_roots(1e-6, _PAGE):
@@ -196,8 +216,9 @@ def test_slice_index_nullity_matches_at_the_page_roots():
 
 def test_slice_index_nullity_rejects_bad_depth_and_tolerance():
     for depth in (0, 2.5, 9.0):
-        with pytest.raises(ValueError, match="positive integer"):
-            slice_index_nullity(cp2_slice(1.0), depth)
+        for stage in (slice_index_nullity, slice_spectrum):
+            with pytest.raises(ValueError, match=f"^depth must be a positive integer, got {depth!r}$"):
+                stage(cp2_slice(1.0), depth)
     for tol in (-1e-9, float("nan")):  # NaN used to give index 0 here
         with pytest.raises(ValueError, match="zero_tolerance"):
             slice_index_nullity(cp2_slice(1.0), 25, tol)
