@@ -154,7 +154,10 @@ def enumerate_modes(k_max: int) -> list[Mode]:
 
 
 def _as_positive_fraction(x: RationalLike, name: str) -> Fraction:
-    value = Fraction(x)
+    try:
+        value = Fraction(x)
+    except (ValueError, OverflowError, ZeroDivisionError):  # NaN, inf, "inf", "1/0"
+        raise ValueError(f"{name} must be a finite rational, got {x!r}") from None
     if value <= 0:
         raise ValueError(f"{name} must be positive, got {value}")
     return value

@@ -25,8 +25,8 @@ one `csv.writer.writerows` pass.
 built once per process, on the first call, and the packaged Page
 constants are read and validated once, on the first request that needs
 them; a --page-config file is read and validated on every request.  The
-root grid scan is kept with the constants object, so it follows the same
-rule; each page request only bisects to its --tol.
+exact Page root count is kept with the constants object, so it follows
+the same rule; each page request makes one bisection to its --tol.
 """
 
 from __future__ import annotations
@@ -275,10 +275,7 @@ def handle_index(args: argparse.Namespace) -> Table:
             raise ValueError("--roots applies only to the page family")
         comments = ["cp2 geodesic spheres, Jacobi shift 3/2"]
         radii = [args.r] if args.r is not None else _scan_grid(args.scan, positive=True)
-        rows = []
-        for r in radii:
-            report = slice_index_nullity(cp2_slice(r), args.depth)
-            rows.append(_index_row(r, report))
+        rows = [_index_row(r, slice_index_nullity(cp2_slice(r), args.depth)) for r in radii]
         return comments, fields, rows
     consts = _page_setup(args)
     r1, r2 = page_transition_roots(args.tol, consts)
@@ -287,13 +284,9 @@ def handle_index(args: argparse.Namespace) -> Table:
         f"certified roots (tol {args.tol:g}): r1 = {r1!r}, r2 = {r2!r}",
     ]
     if args.roots:
-        rows = [("r1", r1), ("r2", r2)]
-        return comments, ["root", "r"], rows
+        return comments, ["root", "r"], [("r1", r1), ("r2", r2)]
     radii = [args.r] if args.r is not None else _scan_grid(args.scan, upper=math.pi)
-    rows = []
-    for r in radii:
-        report = page_index_nullity(r, args.depth, constants=consts)
-        rows.append(_index_row(r, report))
+    rows = [_index_row(r, page_index_nullity(r, args.depth, constants=consts)) for r in radii]
     return comments, fields, rows
 
 
@@ -328,12 +321,8 @@ def handle_plotdata(args: argparse.Namespace) -> Table:
         return comments, fields, rows
     if args.figure == "fig2":
         comments = ["first Jacobi eigenvalue of the cp2 geodesic spheres: lambda_1(r) - 3/2"]
-        fields = ["r", "jacobi_lambda1"]
-        rows = []
-        for k in range(5, 601):
-            r = k / 100
-            rows.append((r, cp2_lambda1(r) - 1.5))
-        return comments, fields, rows
+        rows = [(k / 100, cp2_lambda1(k / 100) - 1.5) for k in range(5, 601)]
+        return comments, ["r", "jacobi_lambda1"], rows
     consts = _page_setup(args)
     r1, r2 = page_transition_roots(1e-6, consts)
     comments = [

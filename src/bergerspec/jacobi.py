@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .berger import SpectrumEntry
+from .berger import SpectrumEntry, _check_positive
 
 _SUPPORTED_VALIDITY = ("hypersurface", "constant-curvature")
 
@@ -125,8 +125,7 @@ def _count_index_nullity(
     notes: tuple[str, ...],
 ) -> IndexNullityReport:
     """index_nullity on the shifted values and their multiplicities."""
-    if not zero_tolerance > 0:  # NaN included
-        raise ValueError(f"zero_tolerance must be positive, got {zero_tolerance!r}")
+    _check_positive(zero_tolerance, "zero_tolerance")
     if not values:
         raise ValueError("empty Jacobi spectrum")
     if values != sorted(values):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from importlib import resources
 
 from .berger import _check_positive
@@ -26,8 +27,6 @@ from .jacobi import EinsteinAmbient, IndexNullityReport
 from .slices import DEFAULT_DEPTH, SliceGeometry, find_root_bisection, slice_index_nullity
 
 _CONFIG_RESOURCE = "data/page_constants.cfg"
-
-ROOT_SCAN_STEP = math.pi / 1024
 
 
 class PageConfigError(ValueError):
@@ -109,29 +108,38 @@ class PageConstants:
         )
 
     @functools.cached_property
-    def root_brackets(self) -> tuple[tuple[float, float], ...]:
-        """Grid brackets of the zeros of page_shifted_lambda1, in ascending order.
+    def root_count(self) -> int:
+        """Exact number of zeros of page_shifted_lambda1 on (0, pi): 2, 1 or 0.
 
-        The grid is k * ROOT_SCAN_STEP for k = 1..1023.  A grid point where
-        the value is exactly zero gives the bracket (r, r); a sign change
-        between neighbouring points gives (r_lo, r_hi).  The scan runs on
-        first use and is kept with this object, so it is repeated only for
-        a new constants object.
+        With u = cos^2 r, P = 1 - a^2 u, Q = 3 - a^2 - a^2(1+a^2) u and
+        S = 1 - u = sin^2 r, the value is g = 2/(f_const P) + P/(Q D^2 S)
+        - 3(1+a^2).  If a^2 <= 1/2, f_const > 0 and D != 0, g is strictly
+        increasing in u: the first term has derivative 2a^2/(f_const P^2)
+        >= 0, and d/du ln(P/(Q S)) = -a^2/P + a^2(1+a^2)/Q + 1/S
+        >= 1 - a^2/(1-a^2) + a^2(1+a^2)/Q > 0.  As g -> +inf when u -> 1,
+        and u takes each value in (0, 1) at r and pi - r, g has 2, 1 or 0
+        zeros as g(pi/2) = 2/f_const + 1/((3 - a^2) D^2) - 3(1 + a^2) is
+        < 0, = 0 or > 0.  Both are decided exactly, in Fractions of the
+        stored floats.  A failed hypothesis is a PageStructureError naming
+        it, which only constants loaded with strict=False can reach.
         """
-        grid = [k * ROOT_SCAN_STEP for k in range(1, 1024)]
-        values = [page_shifted_lambda1(r, self) for r in grid]
-        brackets: list[tuple[float, float]] = []
-        for (r_lo, v_lo), (r_hi, v_hi) in zip(zip(grid, values), zip(grid[1:], values[1:])):
-            if v_lo == 0.0:
-                brackets.append((r_lo, r_lo))
-            elif (v_lo > 0) != (v_hi > 0):
-                brackets.append((r_lo, r_hi))
-        if values[-1] == 0.0:
-            brackets.append((grid[-1], grid[-1]))
-        return tuple(brackets)
+        a, f, D = self.a, self.f_const, self.D
+        for hypothesis, holds in (
+            (f"a^2 <= 1/2, got a = {a!r}", abs(a) < math.inf and Fraction(a) ** 2 <= Fraction(1, 2)),
+            (f"0 < f_const < inf, got f_const = {f!r}", 0 < f < math.inf),
+            (f"0 < |D| < inf, got D = {D!r}", 0 < abs(D) < math.inf),
+        ):
+            if not holds:
+                raise PageStructureError(f"the root count needs {hypothesis}")
+        a2, D2 = Fraction(a) ** 2, Fraction(D) ** 2
+        g = 2 / Fraction(f) + 1 / ((3 - a2) * D2) - 3 * (1 + a2)
+        return 1 + (g < 0) - (g > 0)
 
     def validate(self) -> None:
         """Check every load-time anchor; raise PageConfigError on failure."""
+        for name, value in (("f_const", self.f_const), ("C", self.C), ("D", self.D)):
+            if not 0 < value < math.inf:
+                raise PageConfigError(f"{name} = {value!r} is not finite and positive")
         quartic = self.a**4 + 4 * self.a**3 - 6 * self.a**2 + 12 * self.a - 3
         if abs(quartic) > 1e-12:
             raise PageConfigError(
@@ -219,10 +227,10 @@ def page_shifted_lambda1(r: float, constants: PageConstants | None = None) -> fl
     """First-branch shifted eigenvalue 2 f^{-1} + U^2 D^{-2} sin^{-2} r - 3(1+a^2).
 
     On the region where the squash coordinate x = t^{-3} stays below 6
-    (which contains everything between the two sign changes) this is the
+    (which contains everything between the two zeros) this is the
     smallest nonzero Jacobi eigenvalue of the slice; elsewhere it is the
-    continuation of that same branch.  It blows up at both ends of (0, pi)
-    and crosses zero exactly twice.
+    continuation of that same branch.  It blows up at both ends of (0, pi),
+    is symmetric under r -> pi - r and has `PageConstants.root_count` zeros.
     """
     _check_domain(r)
     c = constants or _default_constants()
@@ -240,29 +248,28 @@ def page_x(r: float, constants: PageConstants | None = None) -> float:
 def page_transition_roots(
     tol: float = 1e-6, constants: PageConstants | None = None
 ) -> tuple[float, float]:
-    """The two zeros of the shifted first eigenvalue in (0, pi).
+    """The two zeros r1 < r2 = pi - r1 of the shifted first eigenvalue in (0, pi).
 
-    Scans a fixed grid of step pi/1024 for sign changes and bisects each
-    bracket to width `tol`.  The scan does not depend on `tol`: it runs
-    once per constants object (`PageConstants.root_brackets`), so the
-    packaged constants are scanned once per process, and each call only
-    bisects.  Finding any number of roots other than two means the
-    coefficient transcription is structurally wrong, and is an error
-    rather than a value, on every call.
+    A count (`PageConstants.root_count`, exact and kept with the constants
+    object) other than two means the transcription is structurally wrong,
+    and is an error on every call.  Otherwise r1 is bisected to width `tol`
+    on (0, pi/2), and r2 mirrors it: the family depends on r only through
+    cos^2 r.
     """
     _check_positive(tol, "tolerance")
     c = constants or _default_constants()
-    brackets = c.root_brackets
-    if len(brackets) != 2:
+    if c.root_count != 2:
         raise PageStructureError(
-            f"expected exactly 2 sign changes of the shifted first eigenvalue, found {len(brackets)}"
+            f"expected exactly 2 zeros of the shifted first eigenvalue, found {c.root_count}"
         )
 
-    def fn(r: float) -> float:
-        return page_shifted_lambda1(r, c)
+    def cleared(r: float) -> float:  # the value times f_const P Q D^2 sin^2 r > 0, finite at 0
+        P, Q = c.PQ(r)
+        s = math.sin(r)
+        return c.f_const * P * P + Q * c.D * c.D * s * s * (2.0 - c.shift * c.f_const * P)
 
-    r1, r2 = (lo if lo == hi else find_root_bisection(fn, lo, hi, tol) for lo, hi in brackets)
-    return r1, r2
+    r1 = find_root_bisection(cleared, 0.0, math.pi / 2, tol)
+    return r1, math.pi - r1
 
 
 def page_index_nullity(

@@ -114,15 +114,16 @@ def _shifted_spectrum(
     Fraction, Mode or SpectrumEntry per value: with x = P/Q the merge
     yields numerators n over the common denominator Q, and each value is
     n / Q / f - shift, where the float n / Q of two ints is correctly
-    rounded.  A value that is not finite (n / Q / f overflows for f near
-    the bottom of the float range) is a domain error that names r, for
-    slice_spectrum and slice_index_nullity alike: an inf bound would pass
-    the certification check.
+    rounded.  P/Q is `exact_x` unreduced, from the integer ratios of f and
+    w^2: a common factor scales every n and Q alike and changes no n / Q.
+    A value that is not finite (n / Q / f overflows for f near the bottom
+    of the float range) is a domain error that names r, for slice_spectrum
+    and slice_index_nullity alike: an inf bound would pass certification.
     """
     _check_count(depth, "depth")
-    x = geom.exact_x()
-    Q, f = x.denominator, geom.f
-    groups = _merge(x.numerator, Q, depth)
+    (fn, fd), (wn, wd) = geom.f.as_integer_ratio(), geom.w2.as_integer_ratio()
+    Q, f = fd * wn, geom.f
+    groups = _merge(fn * wd, Q, depth)
     shifted = [n / Q / f - shift for n, _ in groups]
     if not math.isfinite(shifted[-1]):
         raise ValueError(

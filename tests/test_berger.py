@@ -155,6 +155,24 @@ def test_distinct_spectrum_validation():
         distinct_spectrum_at(1, 0)
 
 
+@pytest.mark.parametrize(
+    "value", [float("inf"), float("nan"), "inf", "1/0"], ids=["inf", "nan", "'inf'", "'1/0'"]
+)
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("x", lambda v: distinct_spectrum_at(v, 3)),
+        ("x_max", lambda v: kth_distinct_piecewise(1, v)),
+        ("x", lambda v: berger.slot_value_at(1, v)),
+    ],
+    ids=["distinct_spectrum_at", "kth_distinct_piecewise", "slot_value_at"],
+)
+def test_non_rational_parameters_are_named(name, call, value):
+    # Fraction() raises OverflowError, ValueError or ZeroDivisionError on these
+    with pytest.raises(ValueError, match=f"^{name} must be a finite rational, got {value!r}$"):
+        call(value)
+
+
 @pytest.mark.parametrize("count", [2.5, "3"])
 def test_distinct_spectrum_rejects_non_integer_count(count):
     with pytest.raises(ValueError, match="count must be a positive integer"):

@@ -88,7 +88,8 @@ def test_index_nullity_report_fields():
 def test_index_nullity_validation():
     with pytest.raises(ValueError):
         index_nullity([], 1e-9)
-    for tol in (0.0, float("nan")):  # a NaN tolerance would count nothing
+    # a NaN tolerance would count nothing, an inf one everything as null
+    for tol in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="zero_tolerance"):
             index_nullity([SpectrumEntry(0.0, 1)], tol)
     with pytest.raises(ValueError):

@@ -5,14 +5,17 @@ here: the loader enforces the cheap identities, and the root positions
 pin down f_const, which no load-time identity touches.
 """
 
+import functools
 import math
 import random
+import re
 from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bergerspec.page import (
-    ROOT_SCAN_STEP,
     PageConfigError,
     PageConstants,
     PageStructureError,
@@ -27,6 +30,26 @@ from bergerspec.slices import find_root_bisection
 
 R1_PRINTED = 0.7032761573791504
 R2_PRINTED = 2.4383171081542976
+
+
+def _grid(n):
+    """The radii k * (pi/n) for k = 1..n-1."""
+    step = math.pi / n
+    return [k * step for k in range(1, n)]
+
+
+def _config_with(tmp_path, consts, key, value):
+    """Path of a constants file equal to `consts` except for `key` = `value`."""
+    values = {k: repr(getattr(consts, k)) for k in ("a", "f_const", "C", "D")}
+    values[key] = value
+    p = tmp_path / "bad.cfg"
+    p.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    return str(p)
+
+
+def _sign_changes(fn, grid):
+    values = [fn(r) > 0 for r in grid]
+    return sum(lo != hi for lo, hi in zip(values, values[1:]))
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +123,15 @@ def test_corrupted_a_rejected_strict(tmp_path, consts):
     assert loose.a == 0.5
 
 
+@pytest.mark.parametrize("key", ["a", "f_const", "C", "D"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_non_finite_or_negative_constant_rejected_strict(tmp_path, consts, key, value):
+    # NaN passes every abs(...) > tol anchor, and f_const <= 0 used to crash
+    # the squash-formula anchor with a complex power
+    with pytest.raises(PageConfigError):
+        page_constants(path=_config_with(tmp_path, consts, key, value))
+
+
 def test_corrupted_constants_move_the_roots(consts):
     # the roots are the anchor that catches a wrong f_const (nothing at
     # load time constrains it); a corrupted value must push at least one
@@ -120,10 +152,6 @@ def test_transition_roots_match_anchors(roots):
     assert 0 < r1 < r2 < math.pi
 
 
-def test_root_scan_step():
-    assert ROOT_SCAN_STEP == pytest.approx(math.pi / 1024, rel=1e-15)
-
-
 def test_transition_roots_validation(consts):
     for tol in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="tolerance"):
@@ -140,14 +168,7 @@ def test_shifted_lambda1_profile(consts, roots):
         -1.0106626713204165, abs=1e-9
     )
     # exactly two sign changes across a fine grid
-    signs = 0
-    prev = page_shifted_lambda1(ROOT_SCAN_STEP, consts)
-    for k in range(2, 1024):
-        cur = page_shifted_lambda1(k * ROOT_SCAN_STEP, consts)
-        if (cur > 0) != (prev > 0):
-            signs += 1
-        prev = cur
-    assert signs == 2
+    assert _sign_changes(lambda r: page_shifted_lambda1(r, consts), _grid(1024)) == 2
     # vanishes at the certified roots
     assert abs(page_shifted_lambda1(r1, consts)) < 1e-5
     assert abs(page_shifted_lambda1(r2, consts)) < 1e-5
@@ -160,8 +181,7 @@ def _composed_shifted_lambda1(c, r):
 
 def test_shifted_lambda1_is_bit_identical_to_the_composed_formula(consts):
     rng = random.Random(1024)
-    radii = [k * ROOT_SCAN_STEP for k in range(1, 1024)]
-    radii += [rng.uniform(1e-9, math.pi - 1e-9) for _ in range(2000)]
+    radii = _grid(1024) + [rng.uniform(1e-9, math.pi - 1e-9) for _ in range(2000)]
     for r in radii:
         assert page_shifted_lambda1(r, consts) == _composed_shifted_lambda1(consts, r)
         P, Q = consts.PQ(r)
@@ -171,58 +191,129 @@ def test_shifted_lambda1_is_bit_identical_to_the_composed_formula(consts):
         assert Q == pytest.approx(3 - consts.a2 - consts.a2 * (1 + consts.a2) * c2, rel=1e-14)
 
 
+def _grid_scan_roots(c, tol):
+    """The root finder the exact count replaced, as an oracle.
+
+    Sign changes of the composed formula on the pi/1024 grid, each bracket
+    bisected to width `tol`.
+    """
+    fn = functools.partial(_composed_shifted_lambda1, c)
+    grid = _grid(1024)
+    brackets = [(lo, hi) for lo, hi in zip(grid, grid[1:]) if (fn(lo) > 0) != (fn(hi) > 0)]
+    return tuple(find_root_bisection(fn, lo, hi, tol) for lo, hi in brackets)
+
+
 @pytest.mark.parametrize("tol", [10.0**-e for e in range(3, 11)])
 def test_transition_roots_match_the_composed_formula(consts, tol):
-    # the same grid scan and bisection, run on the method-composed formula
-    def fn(r):
-        return _composed_shifted_lambda1(consts, r)
-
-    grid = [k * ROOT_SCAN_STEP for k in range(1, 1024)]
-    brackets = [(lo, hi) for lo, hi in zip(grid, grid[1:]) if (fn(lo) > 0) != (fn(hi) > 0)]
-    assert len(brackets) == 2
-    want = tuple(find_root_bisection(fn, lo, hi, tol) for lo, hi in brackets)
-    assert page_transition_roots(tol, consts) == want
+    want = _grid_scan_roots(consts, tol)
+    assert len(want) == 2
+    got = page_transition_roots(tol, consts)
+    assert all(abs(g - w) <= tol for g, w in zip(got, want))
 
 
-def test_root_scan_runs_once_per_constants_object(monkeypatch):
+def test_root_count_runs_once_per_constants_object(monkeypatch):
     from bergerspec import page
 
-    evaluate, bisect = page.page_shifted_lambda1, page.find_root_bisection
-    scanned, bisected = [], []
-    bisecting = [False]
+    count, bisect = PageConstants.root_count.func, page.find_root_bisection
+    counted, bisected = [], []
 
-    def counting(r, constants=None):
-        if not bisecting[0]:
-            scanned.append(r)
-        return evaluate(r, constants)
+    def counting(self):
+        counted.append(self)
+        return count(self)
 
     def recording(fn, lo, hi, tol):
-        bisected.append((lo, hi))
-        bisecting[0] = True
-        try:
-            return bisect(fn, lo, hi, tol)
-        finally:
-            bisecting[0] = False
+        bisected.append((lo, hi, tol))
+        return bisect(fn, lo, hi, tol)
 
-    monkeypatch.setattr(page, "page_shifted_lambda1", counting)
+    def unused(r, constants=None):
+        raise AssertionError("the roots need no page_shifted_lambda1 evaluation")
+
+    prop = functools.cached_property(counting)
+    prop.__set_name__(PageConstants, "root_count")
+    monkeypatch.setattr(PageConstants, "root_count", prop)
     monkeypatch.setattr(page, "find_root_bisection", recording)
+    monkeypatch.setattr(page, "page_shifted_lambda1", unused)
     c = page_constants()
     tols = [10.0**-e for e in range(3, 11)]
-    roots = [page_transition_roots(tol, c) for tol in tols]
-    grid = [k * ROOT_SCAN_STEP for k in range(1, 1024)]
-    assert scanned == grid
+    for tol in tols:
+        r1, r2 = page_transition_roots(tol, c)
+        assert r2 == math.pi - r1
+    assert len(counted) == 1 and counted[0] is c
+    # one bisection per call, on [0, pi/2]
+    assert bisected == [(0.0, math.pi / 2, tol) for tol in tols]
+    # the count is kept with the object: an equal new one counts again
+    fresh = page_constants()
+    page_transition_roots(1e-6, fresh)
+    assert len(counted) == 2 and counted[1] is fresh
 
-    def fn(r):
-        return evaluate(r, c)
 
-    brackets = [(lo, hi) for lo, hi in zip(grid, grid[1:]) if (fn(lo) > 0) != (fn(hi) > 0)]
-    assert len(brackets) == 2
-    assert bisected == brackets * len(tols)
-    for tol, got in zip(tols, roots):
-        assert got == tuple(bisect(fn, lo, hi, tol) for lo, hi in brackets)
-    # the scan is kept with the object: an equal new one scans again
-    page_transition_roots(1e-6, page_constants())
-    assert scanned == grid * 2
+@pytest.fixture(scope="module")
+def cleared(consts):
+    """The function page_transition_roots bisects, caught on its way in."""
+    from bergerspec import page
+
+    caught = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(page, "find_root_bisection", lambda fn, lo, hi, tol: caught.append(fn) or lo)
+        page_transition_roots(1e-6, consts)
+    return caught[0]
+
+
+def test_cleared_value_has_the_sign_of_the_shifted_value(consts, cleared):
+    rng = random.Random(12)
+    radii = _grid(1024) + [rng.uniform(1e-9, math.pi - 1e-9) for _ in range(2000)]
+    for r in radii:
+        g, h = page_shifted_lambda1(r, consts), cleared(r)
+        assert (g > 0, g < 0) == (h > 0, h < 0), r
+    # finite and positive at r = 0, where the shifted value blows up
+    assert 0 < cleared(0.0) < math.inf
+
+
+def test_roots_are_mirror_images(consts):
+    for tol in [10.0**-e for e in range(1, 17)]:
+        r1, r2 = page_transition_roots(tol, consts)
+        assert 0 < r1 < math.pi / 2 < r2 < math.pi
+        assert abs(r1 + r2 - math.pi) <= 4.5e-16
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=st.floats(min_value=0.0, max_value=0.7071),
+    f_const=st.floats(min_value=0.1, max_value=10.0),
+    D=st.floats(min_value=0.1, max_value=5.0),
+)
+def test_root_count_matches_a_dense_grid(a, f_const, D):
+    c = replace(page_constants(), a=a, f_const=f_const, D=D)
+    # a value within rounding of zero at pi/2 would leave the grid's count to rounding
+    assume(abs(page_shifted_lambda1(math.pi / 2, c)) > 1e-9)
+    assert c.root_count == _sign_changes(lambda r: page_shifted_lambda1(r, c), _grid(4096))
+
+
+@pytest.mark.parametrize(
+    "key, value, hypothesis",
+    [
+        ("a", "0.75", "a^2 <= 1/2"),
+        ("f_const", "0", "0 < f_const < inf"),
+        ("f_const", "-1.5", "0 < f_const < inf"),
+        ("f_const", "inf", "0 < f_const < inf"),
+        ("D", "0", "0 < |D| < inf"),
+    ],
+)
+def test_root_count_hypotheses(tmp_path, consts, key, value, hypothesis):
+    path = _config_with(tmp_path, consts, key, value)
+    with pytest.raises(PageConfigError):  # the load-time anchors exclude it
+        page_constants(path=path)
+    loose = page_constants(path=path, strict=False)
+    with pytest.raises(PageStructureError, match=f"needs {re.escape(hypothesis)}.*got {key} = "):
+        page_transition_roots(1e-6, loose)
+
+
+def test_index_profile_is_symmetric(consts):
+    rng = random.Random(6)
+    for r in _grid(256) + [rng.uniform(1e-3, math.pi - 1e-3) for _ in range(200)]:
+        left, right = (page_index_nullity(x, constants=consts) for x in (r, math.pi - r))
+        assert (left.index, left.nullity) == (right.index, right.nullity), r
+        assert left.first_shifted == pytest.approx(right.first_shifted, rel=1e-9, abs=1e-9)
 
 
 def test_corrupted_constants_fail_the_root_count_on_every_call(consts):

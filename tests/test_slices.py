@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bergerspec.berger import Mode, tanno_lambda1
+from bergerspec import slices
+from bergerspec.berger import Mode, _merge, tanno_lambda1
 from bergerspec.jacobi import IndexNullityReport, index_nullity, jacobi_shift, jacobi_spectrum
 from bergerspec.page import page_constants, page_slice, page_transition_roots
 from bergerspec.slices import (
@@ -193,6 +194,34 @@ def test_slice_index_nullity_matches_the_composed_pipeline(family):
     check()
 
 
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_the_merge_gets_exact_x_in_unreduced_terms(family):
+    radii, make = _FAMILIES[family]
+
+    @settings(max_examples=100, deadline=None)
+    @given(r=radii, depth=st.integers(min_value=1, max_value=40))
+    def check(r, depth):
+        try:
+            geom = make(r)
+        except ValueError:  # w^2 under- or overflows at the very ends of the range
+            return
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(slices, "_merge", lambda P, Q, count: calls.append((P, Q)) or _merge(P, Q, count))
+            try:
+                values, _ = slices._shifted_spectrum(geom, depth, 0.25)
+            except ValueError:  # a value overflows: the domain error, tested elsewhere
+                return
+        [(P, Q)] = calls
+        x = geom.exact_x()
+        assert Fraction(P, Q) == x
+        # the values are bit-identical to the ones from x in lowest terms
+        n, d = x.numerator, x.denominator
+        assert values == [m / d / geom.f - 0.25 for m, _ in _merge(n, d, depth)]
+
+    check()
+
+
 @pytest.mark.parametrize("r, depth", [(1.6842790254642973e-162, 2), (8.361683340703491e-154, 12)])
 def test_tiny_synthetic_radius_is_the_same_domain_error_on_both_paths(r, depth):
     # f = sin^2 r is subnormal or nearly so, and the depth-th value n / Q / f
@@ -219,7 +248,7 @@ def test_slice_index_nullity_rejects_bad_depth_and_tolerance():
         for stage in (slice_index_nullity, slice_spectrum):
             with pytest.raises(ValueError, match=f"^depth must be a positive integer, got {depth!r}$"):
                 stage(cp2_slice(1.0), depth)
-    for tol in (-1e-9, float("nan")):  # NaN used to give index 0 here
+    for tol in (-1e-9, float("nan"), float("inf")):  # NaN used to give index 0 here, inf 1
         with pytest.raises(ValueError, match="zero_tolerance"):
             slice_index_nullity(cp2_slice(1.0), 25, tol)
 
