@@ -44,7 +44,8 @@ class PageConstants:
     a is the positive root of a^4 + 4a^3 - 6a^2 + 12a - 3 = 0.  The
     coefficient functions are P(r) = 1 - a^2 cos^2 r and
     Q(r) = 3 - a^2 - a^2(1+a^2) cos^2 r, with V = P/Q, U = sqrt(V),
-    f = f_const * P and w = D sin r / U.
+    f = f_const * P, w = D sin r / U and the squash coordinate
+    x = f / w^2 = (f V / D^2) / sin^2 r.
     """
 
     a: float
@@ -94,10 +95,22 @@ class PageConstants:
     def w(self, r: float) -> float:
         return self.D * math.sin(r) / self.U(r)
 
-    def x(self, r: float) -> float:
-        """Squash coordinate t^{-3} = f U^2 / (D^2 sin^2 r)."""
+    def _sine(self, r: float) -> float:
+        """sin r, or the domain error where r is outside (0, pi) or D^2 sin^2 r underflows to 0."""
+        if not 0.0 < r < math.pi:
+            raise ValueError(f"slice parameter must lie in (0, pi), got {r!r}")
         s = math.sin(r)
-        return self.f(r) * self.V(r) / (self.D * self.D * s * s)
+        if self.D * self.D * s * s == 0.0:
+            raise ValueError(f"slice parameter r = {r!r} is out of range: D^2 sin^2 r underflows to 0")
+        return s
+
+    def x(self, r: float) -> Fraction:
+        """Squash coordinate t^{-3} = (f V / D^2) / sin^2 r, exact in the floats f V / D^2 and sin r."""
+        s = self._sine(r)
+        P, Q = self.PQ(r)
+        n, d = (self.f_const * P * (P / Q) / (self.D * self.D)).as_integer_ratio()
+        sn, sd = s.as_integer_ratio()
+        return Fraction(n * sd * sd, d * sn * sn)
 
     def t(self, r: float) -> float:
         """Squash parameter U^{-2/3} (D sin r)^{2/3} f^{-1/3}."""
@@ -211,16 +224,10 @@ def _default_constants() -> PageConstants:
     return page_constants()
 
 
-def _check_domain(r: float) -> None:
-    if not 0.0 < r < math.pi:
-        raise ValueError(f"slice parameter must lie in (0, pi), got {r!r}")
-
-
 def page_slice(r: float, constants: PageConstants | None = None) -> SliceGeometry:
     """The totally geodesic Berger sphere at parameter r in (0, pi)."""
-    _check_domain(r)
     c = constants or _default_constants()
-    return SliceGeometry(r=r, f=c.f(r), w=c.w(r), ambient=c.ambient())
+    return SliceGeometry(r=r, f=c.f(r), x=c.x(r), ambient=c.ambient())
 
 
 def page_shifted_lambda1(r: float, constants: PageConstants | None = None) -> float:
@@ -232,16 +239,14 @@ def page_shifted_lambda1(r: float, constants: PageConstants | None = None) -> fl
     continuation of that same branch.  It blows up at both ends of (0, pi),
     is symmetric under r -> pi - r and has `PageConstants.root_count` zeros.
     """
-    _check_domain(r)
     c = constants or _default_constants()
+    s = c._sine(r)
     P, Q = c.PQ(r)
-    s = math.sin(r)
     return 2.0 / (c.f_const * P) + P / Q / (c.D * c.D * s * s) - c.shift
 
 
-def page_x(r: float, constants: PageConstants | None = None) -> float:
-    """Squash coordinate x = t^{-3} of the slice at r."""
-    _check_domain(r)
+def page_x(r: float, constants: PageConstants | None = None) -> Fraction:
+    """Squash coordinate x = t^{-3} of the slice at r, exact as `page_slice(r).x`."""
     return (constants or _default_constants()).x(r)
 
 

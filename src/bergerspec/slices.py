@@ -1,14 +1,14 @@
 """Berger-sphere slices of Einstein 4-manifolds.
 
 A slice here is a 3-sphere carrying a left-invariant metric
-f (sigma_1^2 + sigma_2^2) + w^2 sigma_3^2 inside an Einstein ambient.
-Dividing by the volume factor mu = (f w)^{2/3} turns it into the
-unit-volume Berger metric g_B^t with t = w^{2/3} f^{-1/3}, so the slice
-Laplace spectrum is t (A + B x) / mu = (A + B x) / f per branch, with
-x = t^{-3} = f / w^2.
+f (sigma_1^2 + sigma_2^2) + (f / x) sigma_3^2 inside an Einstein ambient,
+stored as the float f and the exact squash coordinate x.  Dividing by
+the volume factor mu = f t turns it into the unit-volume Berger metric
+g_B^t with t = x^{-1/3}, so the slice Laplace spectrum is
+t (A + B x) / mu = (A + B x) / f per branch.
 
 The concrete family implemented in this module is the geodesic spheres of
-the complex projective plane (f = r^2/(1+r^2), w = r/(1+r^2), shift 3/2).
+the complex projective plane (f = r^2/(1+r^2), x = 1 + r^2, shift 3/2).
 A synthetic family (round equatorial spheres in the round 4-sphere) ships
 for exercising the machinery with independently known answers.
 """
@@ -48,17 +48,17 @@ DEFAULT_DEPTH = 25
 
 @dataclass(frozen=True)
 class SliceGeometry:
-    """One slice f (sigma_1^2 + sigma_2^2) + w^2 sigma_3^2 at parameter r."""
+    """One slice f (sigma_1^2 + sigma_2^2) + (f / x) sigma_3^2 at parameter r, with x = t^{-3} exact."""
 
     r: float
     f: float
-    w: float
+    x: Fraction
     ambient: EinsteinAmbient
 
     def __post_init__(self) -> None:
-        # w^2 is checked too: it under- or overflows where f and w do not
-        for name, value in (("f", self.f), ("w", self.w), ("w^2", self.w2)):
-            if not (math.isfinite(value) and value > 0):
+        # a Fraction is finite, and its sign is its numerator's
+        for name, value, ok in (("f", self.f, 0 < self.f < math.inf), ("x", self.x, self.x.numerator > 0)):
+            if not ok:
                 raise ValueError(
                     f"slice parameter r = {self.r!r} is out of range: "
                     f"coefficient {name} = {value!r} is not finite and positive"
@@ -66,26 +66,20 @@ class SliceGeometry:
 
     @property
     def w2(self) -> float:
-        return self.w * self.w
-
-    @property
-    def x(self) -> float:
-        """Squash coordinate x = t^{-3} = f / w^2."""
-        return self.f / self.w2
-
-    def exact_x(self) -> Fraction:
-        """x as the exact ratio of the stored binary floats."""
-        return Fraction(self.f) / Fraction(self.w2)
+        """The sigma_3^2 coefficient f / x."""
+        return float(Fraction(self.f) / self.x)
 
     @property
     def t(self) -> float:
-        """Berger squash parameter of the unit-volume normalization."""
-        return self.w ** (2.0 / 3.0) * self.f ** (-1.0 / 3.0)
+        """Berger squash parameter x^{-1/3} of the unit-volume normalization."""
+        n, d = self.x.numerator, self.x.denominator
+        k = max(0, (n.bit_length() - d.bit_length()) // 3)  # float(x) may overflow; x / 8^k < 16 cannot
+        return math.ldexp((n / (d << 3 * k)) ** (-1.0 / 3.0), -k)
 
     @property
     def mu(self) -> float:
-        """Volume normalization factor (f w)^{2/3}."""
-        return (self.f * self.w) ** (2.0 / 3.0)
+        """Volume normalization factor f t."""
+        return self.f * self.t
 
 
 def slice_spectrum(geom: SliceGeometry, depth: int = DEFAULT_DEPTH) -> list[SpectrumEntry]:
@@ -114,16 +108,14 @@ def _shifted_spectrum(
     Fraction, Mode or SpectrumEntry per value: with x = P/Q the merge
     yields numerators n over the common denominator Q, and each value is
     n / Q / f - shift, where the float n / Q of two ints is correctly
-    rounded.  P/Q is `exact_x` unreduced, from the integer ratios of f and
-    w^2: a common factor scales every n and Q alike and changes no n / Q.
-    A value that is not finite (n / Q / f overflows for f near the bottom
-    of the float range) is a domain error that names r, for slice_spectrum
-    and slice_index_nullity alike: an inf bound would pass certification.
+    rounded.  A value that is not finite (n / Q / f overflows for f near
+    the bottom of the float range) is a domain error that names r, for
+    slice_spectrum and slice_index_nullity alike: an inf bound would pass
+    certification.
     """
     _check_count(depth, "depth")
-    (fn, fd), (wn, wd) = geom.f.as_integer_ratio(), geom.w2.as_integer_ratio()
-    Q, f = fd * wn, geom.f
-    groups = _merge(fn * wd, Q, depth)
+    Q, f = geom.x.denominator, geom.f
+    groups = _merge(geom.x.numerator, Q, depth)
     shifted = [n / Q / f - shift for n, _ in groups]
     if not math.isfinite(shifted[-1]):
         raise ValueError(
@@ -171,8 +163,9 @@ def slice_index_nullity(
 def cp2_slice(r: float) -> SliceGeometry:
     """Geodesic sphere of radius parameter r in the complex projective plane."""
     _check_positive(r, "radius")
-    one_plus = 1.0 + r * r
-    return SliceGeometry(r=r, f=r * r / one_plus, w=r / one_plus, ambient=CP2_AMBIENT)
+    n, d = r.as_integer_ratio()  # x = 1 + r^2 = (n^2 + d^2) / d^2, in lowest terms
+    x = Fraction(n * n + d * d, d * d)
+    return SliceGeometry(r=r, f=r * r / (1.0 + r * r), x=x, ambient=CP2_AMBIENT)
 
 
 def cp2_lambda1(r: float) -> float:
@@ -183,10 +176,10 @@ def cp2_lambda1(r: float) -> float:
     (3 + r^2)(1 + r^2)/r^2 for r <= sqrt(5) and 8(1 + r^2)/r^2 beyond.
     """
     geom = cp2_slice(r)
-    mu = geom.mu
-    if mu == 0.0:  # f w underflows for r below about 1e-108, where f and w do not
-        raise ValueError(f"radius r = {r!r} is too small: the volume factor (f w)^(2/3) underflows")
-    return tanno_lambda1(geom.t) / mu
+    value = tanno_lambda1(geom.t) / geom.mu
+    if value == math.inf:  # about 3 / f: it overflows for r below about 1.3e-154
+        raise ValueError(f"radius r = {r!r} is too small: lambda_1 = {value!r} overflows")
+    return value
 
 
 def cp2_lambda1_exact(r_squared: Fraction) -> Fraction:
@@ -203,7 +196,7 @@ def cp2_index_nullity(r: float, depth: int = DEFAULT_DEPTH) -> IndexNullityRepor
 
 
 def synthetic_slice(r: float) -> SliceGeometry:
-    """Round sphere of latitude r in the round 4-sphere (f = sin^2 r, w = sin r).
+    """Round sphere of latitude r in the round 4-sphere (f = sin^2 r, x = 1).
 
     This degenerates at r = 0 and pi like the Page family and has a fully
     known spectrum (the round 3-sphere of radius sin r), making it a
@@ -212,7 +205,7 @@ def synthetic_slice(r: float) -> SliceGeometry:
     if not 0 < r < math.pi:
         raise ValueError(f"latitude must lie in (0, pi), got {r!r}")
     s = math.sin(r)
-    return SliceGeometry(r=r, f=s * s, w=s, ambient=ROUND_S4_AMBIENT)
+    return SliceGeometry(r=r, f=s * s, x=Fraction(1), ambient=ROUND_S4_AMBIENT)
 
 
 def find_root_bisection(

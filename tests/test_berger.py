@@ -201,8 +201,8 @@ _SWEEP_X = st.one_of(
     st.fractions(min_value=Fraction(1, 60), max_value=Fraction(59, 60), max_denominator=60),
     st.just(Fraction(1)),
     st.fractions(min_value=Fraction(61, 60), max_value=60, max_denominator=60),
-    st.floats(min_value=1e-3, max_value=1e3).map(lambda r: cp2_slice(r).exact_x()),
-    st.floats(min_value=1e-2, max_value=3.13).map(lambda r: page_slice(r).exact_x()),
+    st.floats(min_value=1e-3, max_value=1e3).map(lambda r: cp2_slice(r).x),
+    st.floats(min_value=1e-2, max_value=3.13).map(lambda r: page_slice(r).x),
 )
 
 
@@ -224,7 +224,7 @@ def test_distinct_spectrum_work_is_output_bounded(monkeypatch):
         return build(k, q)
 
     monkeypatch.setattr(berger, "_known_mode", counting_mode)
-    for x, count in ((cp2_slice(1e3).exact_x(), 25), (Fraction(1), 200)):
+    for x, count in ((cp2_slice(1e3).x, 25), (Fraction(1), 200)):
         built.clear()
         got = distinct_spectrum_at(x, count)
         assert len(got) == count

@@ -258,7 +258,7 @@ def test_index_zero_radius_counts_as_given(capsys, space):
     ],
 )
 def test_index_extreme_radius_is_a_domain_error(capsys, argv):
-    # w^2 or f under- or overflows; the error names r, not the coefficient
+    # f or D^2 sin^2 r under- or overflows; the error names r, not the coefficient
     code, _, err = run(capsys, "index", *argv)
     assert code == 2
     assert len(err.strip().splitlines()) == 1

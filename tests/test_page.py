@@ -88,6 +88,7 @@ def test_squash_formula_identity(consts):
         assert consts.t(r) == pytest.approx(g.t, rel=1e-12)
         assert consts.x(r) == pytest.approx(g.x, rel=1e-12)
         assert g.x == pytest.approx(g.t ** -3, rel=1e-12)
+        assert g.x == pytest.approx(consts.f(r) / consts.w(r) ** 2, rel=1e-12)
 
 
 def test_missing_key_rejected(tmp_path):
@@ -342,10 +343,25 @@ def test_squash_coordinate_at_root(consts, roots):
     assert page_x(math.pi / 2, consts) < 6
 
 
+@pytest.mark.parametrize("fn", [page_x, page_slice, page_shifted_lambda1])
+@pytest.mark.parametrize("r", [1e-200, 1e-170, 2.2e-162])
+def test_underflowing_sine_is_a_domain_error(consts, fn, r):
+    # D^2 sin^2 r is 0.0 here (at 2.2e-162 sin^2 r itself is not): every
+    # function names r instead of dividing by zero
+    message = f"slice parameter r = {r!r} is out of range: D^2 sin^2 r underflows to 0"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fn(r, consts)
+
+
 def test_slice_geometry(consts):
     g = page_slice(math.pi / 2, consts)
     assert g.f == pytest.approx(consts.f_const, rel=1e-15)  # P(pi/2) = 1
     assert g.w2 == pytest.approx(consts.C * (3 - consts.a2), rel=1e-12)
+    tiny = page_slice(1e-160, consts)  # sin^2 r is subnormal, and x > 10^300 is beyond the float range
+    assert tiny.x > 10**300
+    assert tiny.t == pytest.approx(consts.t(1e-160), rel=1e-13, abs=0)
+    assert tiny.mu == pytest.approx(tiny.f * tiny.t, rel=1e-15, abs=0)
+    assert tiny.w2 == pytest.approx(consts.w(1e-160) ** 2, rel=1e-3, abs=0)  # w^2 is subnormal too
     with pytest.raises(ValueError):
         page_slice(0.0, consts)
     with pytest.raises(ValueError):

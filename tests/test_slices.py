@@ -5,13 +5,13 @@ from dataclasses import fields
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bergerspec import slices
-from bergerspec.berger import Mode, _merge, tanno_lambda1
+from bergerspec.berger import Mode, _merge, distinct_spectrum_at, mode_multiplicity, tanno_lambda1
 from bergerspec.jacobi import IndexNullityReport, index_nullity, jacobi_shift, jacobi_spectrum
-from bergerspec.page import page_constants, page_slice, page_transition_roots
+from bergerspec.page import page_constants, page_slice, page_transition_roots, page_x
 from bergerspec.slices import (
     SliceGeometry,
     cp2_index_nullity,
@@ -56,9 +56,11 @@ def test_cp2_lambda1_values():
     assert cp2_lambda1(1.0) == pytest.approx(8.0, rel=1e-12)
     assert cp2_lambda1(math.sqrt(5.0)) == pytest.approx(9.6, rel=1e-12)
     assert cp2_lambda1(3.0) == pytest.approx(80.0 / 9.0, rel=1e-12)
-    # f and w are positive floats here, but (f w)^(2/3) underflows to 0
-    with pytest.raises(ValueError, match=r"^radius r = 1e-120 is too small"):
-        cp2_lambda1(1e-120)
+    # mu = f t with t = x^{-1/3}: nothing underflows while lambda_1 is a finite float
+    for r in (1e-107, 1e-120, 1e-150):
+        assert cp2_lambda1(r) == pytest.approx(float(cp2_lambda1_exact(Fraction(r) ** 2)), rel=1e-12)
+    with pytest.raises(ValueError, match=r"^radius r = 1e-160 is too small: lambda_1 = inf overflows$"):
+        cp2_lambda1(1e-160)
 
 
 def test_cp2_lambda1_exact_rationals():
@@ -108,12 +110,47 @@ def test_slice_spectrum_structure():
 
 def test_slice_geometry_validation():
     amb = cp2_slice(1.0).ambient
-    with pytest.raises(ValueError):
-        SliceGeometry(r=1.0, f=0.0, w=1.0, ambient=amb)
-    with pytest.raises(ValueError):
-        SliceGeometry(r=1.0, f=1.0, w=-1.0, ambient=amb)
-    with pytest.raises(ValueError):
-        SliceGeometry(r=1.0, f=float("inf"), w=1.0, ambient=amb)
+    for f, x, bad in (
+        (0.0, Fraction(1), "f = 0.0"),
+        (float("inf"), Fraction(1), "f = inf"),
+        (float("nan"), Fraction(1), "f = nan"),
+        (1.0, Fraction(0), "x = Fraction(0, 1)"),
+        (1.0, Fraction(-1, 2), "x = Fraction(-1, 2)"),
+    ):
+        message = f"slice parameter r = 1.0 is out of range: coefficient {bad} is not finite and positive"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SliceGeometry(r=1.0, f=f, x=x, ambient=amb)
+
+
+def test_cp2_equal_eigenvalues_group_exactly():
+    # x = 1 + r^2 is exact, so a value attained by several branches is one
+    # entry with the summed multiplicity: at r = 3 (x = 10), 80/3 has 13
+    entries = slice_spectrum(cp2_slice(3.0), 25)
+    near = [(e.value, e.multiplicity) for e in entries if abs(e.value - 80 / 3) < 1e-9]
+    assert near == [(26.666666666666664, 13)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(min_value=1, max_value=4096), j=st.integers(min_value=0, max_value=8))
+@example(m=3, j=1).via("r = 1.5")
+@example(m=2, j=0).via("r = 2")
+@example(m=3, j=0).via("r = 3")
+@example(m=7, j=0).via("r = 7")
+def test_cp2_dyadic_radii_group_exactly(m, j):
+    r = m / 2**j
+    geom = cp2_slice(r)
+    entries = slice_spectrum(geom, 25)
+    values = [e.value for e in entries]
+    assert all(a < b for a, b in zip(values, values[1:]))
+    want = [(float(v) / geom.f, sum(map(mode_multiplicity, modes)))
+            for v, modes in distinct_spectrum_at(1 + Fraction(r) ** 2, 25)]
+    assert [(e.value, e.multiplicity) for e in entries] == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(r=st.floats(min_value=1e-150, max_value=1e150))
+def test_cp2_squash_coordinate_is_exact(r):
+    assert cp2_slice(r).x == 1 + Fraction(r) ** 2
 
 
 def test_slice_index_truncation_guard():
@@ -187,7 +224,7 @@ def test_slice_index_nullity_matches_the_composed_pipeline(family):
     def check(r, depth, zero_tolerance):
         try:
             geom = make(r)
-        except ValueError:  # w^2 under- or overflows at the very ends of the range
+        except ValueError:  # f underflows, or D^2 sin^2 r does, at the very ends of the range
             return
         _assert_same_report(geom, depth, zero_tolerance, notes=("n",))
 
@@ -195,7 +232,7 @@ def test_slice_index_nullity_matches_the_composed_pipeline(family):
 
 
 @pytest.mark.parametrize("family", sorted(_FAMILIES))
-def test_the_merge_gets_exact_x_in_unreduced_terms(family):
+def test_the_merge_gets_the_exact_x(family):
     radii, make = _FAMILIES[family]
 
     @settings(max_examples=100, deadline=None)
@@ -203,8 +240,10 @@ def test_the_merge_gets_exact_x_in_unreduced_terms(family):
     def check(r, depth):
         try:
             geom = make(r)
-        except ValueError:  # w^2 under- or overflows at the very ends of the range
+        except ValueError:  # f underflows, or D^2 sin^2 r does, at the very ends of the range
             return
+        if family == "page":
+            assert geom.x == page_x(r, _PAGE)
         calls = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(slices, "_merge", lambda P, Q, count: calls.append((P, Q)) or _merge(P, Q, count))
@@ -212,12 +251,8 @@ def test_the_merge_gets_exact_x_in_unreduced_terms(family):
                 values, _ = slices._shifted_spectrum(geom, depth, 0.25)
             except ValueError:  # a value overflows: the domain error, tested elsewhere
                 return
-        [(P, Q)] = calls
-        x = geom.exact_x()
-        assert Fraction(P, Q) == x
-        # the values are bit-identical to the ones from x in lowest terms
-        n, d = x.numerator, x.denominator
-        assert values == [m / d / geom.f - 0.25 for m, _ in _merge(n, d, depth)]
+        assert calls == [(geom.x.numerator, geom.x.denominator)]
+        assert values == [float(v) / geom.f - 0.25 for v, _ in distinct_spectrum_at(geom.x, depth)]
 
     check()
 
