@@ -192,48 +192,51 @@ def _merge(P: int, Q: int, count: int) -> list[tuple[int, list[tuple[int, int]]]
     returned in closed form.  Otherwise entries of one stream differ in
     q^2 (P - Q), so no two of them tie.
 
-    The heap keys (num, k, sign*q) of distinct modes are distinct, so they
-    are totally ordered and every way of maintaining the heap pops them in
-    the same order: the mode order, and with it modes[0] of each value,
-    does not depend on it.  When the popped stream has a next entry, that
-    entry takes the popped one's place in a single sift (`heapreplace`),
-    and so does stream k + 2 when stream k has no next entry.
-    The cost is a sift, logarithmic in the number of open streams, per
-    mode returned.
+    A heap entry is (num, k, i, q): numerator, stream, the entry's
+    position i = 0 .. k >> 1 in its stream, and its q.  The keys
+    (num, k, i) of distinct modes are distinct, so q is never compared,
+    and they are totally ordered: every way of maintaining the heap pops
+    them in the same order, so the mode order, and with it modes[0] of
+    each value, does not depend on it.  The next entry of a stream is the
+    popped one's numerator plus step (2q + step)(P - Q), with step = +-2
+    the direction of q, and it takes the popped one's place in a single
+    sift (`heapreplace`); so does the first entry of stream k + 2, built
+    once per stream, when stream k has no next entry.  A mode returned
+    costs one sift, logarithmic in the number of open streams, and one
+    integer add, with no Python function call.
     """
     if P == Q:
         return [
             (k * (k + 2) * Q, [(k, q) for q in range(k % 2, k + 1, 2)]) for k in range(count)
         ]
     slope = P - Q
-    sign = 1 if slope >= 0 else -1  # heap keys carry sign*q, so ties pop in stream order
-    step = 2 * sign
-
-    def first_q(k: int) -> int:
-        return k % 2 if slope >= 0 else k
-
-    def entry(k: int, q: int) -> tuple[int, int, int]:
-        return (k * (k + 2) * Q + q * q * slope, k, sign * q)
-
-    heap = [entry(0, 0), entry(1, first_q(1))]
+    step = 2 if slope > 0 else -2
+    rise = step * slope  # q^2 (P - Q) grows by (2q + step) * rise per step of q
+    heapreplace, heappush, heappop = heapq.heapreplace, heapq.heappush, heapq.heappop
+    heap = [(0, 0, 0, 0), (3 * Q + slope, 1, 0, 1)]
     groups: list[tuple[int, list[tuple[int, int]]]] = []
+    last = -1  # numerators are non-negative
     while True:
-        num, k, sq = heap[0]
-        if not groups or num != groups[-1][0]:
+        num, k, i, q = heap[0]
+        if num != last:
             if len(groups) == count:
                 return groups
-            groups.append((num, []))
-        q = sign * sq
-        groups[-1][1].append((k, q))
-        nq = q + step
-        if 0 <= nq <= k:
-            heapq.heapreplace(heap, entry(k, nq))
-            if q == first_q(k):
-                heapq.heappush(heap, entry(k + 2, first_q(k + 2)))
-        elif q == first_q(k):
-            heapq.heapreplace(heap, entry(k + 2, first_q(k + 2)))
+            last = num
+            pairs: list[tuple[int, int]] = []
+            groups.append((num, pairs))
+        pairs.append((k, q))
+        if i == 0:  # stream k + 2 opens
+            kk = k + 2
+            qq = kk if step < 0 else k & 1
+            first = (kk * (kk + 2) * Q + qq * qq * slope, kk, 0, qq)
+        if i < k >> 1:
+            heapreplace(heap, (num + (q + q + step) * rise, k, i + 1, q + step))
+            if i == 0:
+                heappush(heap, first)
+        elif i == 0:
+            heapreplace(heap, first)
         else:
-            heapq.heappop(heap)
+            heappop(heap)
 
 
 def distinct_spectrum_at(

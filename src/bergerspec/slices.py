@@ -163,9 +163,13 @@ def slice_index_nullity(
 def cp2_slice(r: float) -> SliceGeometry:
     """Geodesic sphere of radius parameter r in the complex projective plane."""
     _check_positive(r, "radius")
+    r2 = r * r
+    if r2 == 0.0 or r2 == math.inf:
+        fault = "underflows to 0" if r2 == 0.0 else "overflows a float"
+        raise ValueError(f"slice parameter r = {r!r} is out of range: r^2 {fault}")
     n, d = r.as_integer_ratio()  # x = 1 + r^2 = (n^2 + d^2) / d^2, in lowest terms
     x = Fraction(n * n + d * d, d * d)
-    return SliceGeometry(r=r, f=r * r / (1.0 + r * r), x=x, ambient=CP2_AMBIENT)
+    return SliceGeometry(r=r, f=r2 / (1.0 + r2), x=x, ambient=CP2_AMBIENT)
 
 
 def cp2_lambda1(r: float) -> float:

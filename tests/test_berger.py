@@ -237,15 +237,17 @@ def _merge_oracle(P: int, Q: int, count: int) -> list[tuple[int, list[tuple[int,
     Every mode (k, q) up to a k bound with its exact numerator
     A Q + B P, grouped by numerator and ordered by numerator, then k, then
     q (ascending for P >= Q, descending for P < Q).  The modes (k, k mod 2)
-    and (k, k) with k <= count give at least count + 1 distinct numerators,
+    and (k, k) with k <= 2 count give at least count + 1 distinct numerators,
     so the count-th smallest of them bounds the answer, and
-    A Q + B P >= 2kQ + k^2 min(P, Q) bounds the k that can reach it.
+    A Q + B P >= 2kQ + k^2 min(P, Q) bounds the k that can reach it.  (With
+    k <= 2 count the even streams alone give count values, which keeps the
+    bound tight at large x, where every odd stream starts near P/Q.)
     """
 
     def num(k: int, q: int) -> int:
         return (k * (k + 2) - q * q) * Q + q * q * P
 
-    bound = sorted({num(k, q) for k in range(count + 1) for q in (k % 2, k)})[count - 1]
+    bound = sorted({num(k, q) for k in range(2 * count + 1) for q in (k % 2, k)})[count - 1]
     k_max = 0
     while 2 * (k_max + 1) * Q + (k_max + 1) ** 2 * min(P, Q) <= bound:
         k_max += 1
@@ -278,6 +280,36 @@ def test_merge_matches_brute_force_grouping(P, Q):
 @given(P=st.integers(1, 40), Q=st.integers(1, 40), count=st.integers(1, 120))
 def test_merge_matches_brute_force_grouping_at_random_x(P, Q, count):
     _check_merge(P, Q, [count])
+
+
+# the x every index row merges at: a 53-bit float r turned into an exact P/Q
+@settings(max_examples=60, deadline=None)
+@given(
+    x=st.one_of(
+        st.floats(min_value=1e-3, max_value=1e3).map(lambda r: cp2_slice(r).x),
+        st.floats(min_value=1e-2, max_value=3.13).map(lambda r: page_slice(r).x),
+    ),
+    count=st.integers(1, 60),
+)
+def test_merge_matches_brute_force_grouping_at_slice_x(x, count):
+    _check_merge(x.numerator, x.denominator, [count])
+
+
+# x = 1 +- 1/Q with Q near 2^60: every stream is a run of distinct values, none tied
+@settings(max_examples=30, deadline=None)
+@given(Q=st.integers(2**60 - 2**20, 2**60 + 2**20), side=st.sampled_from([1, -1]))
+def test_merge_matches_brute_force_grouping_next_to_one(Q, side):
+    groups = berger._merge(Q + side, Q, 120)
+    assert all(len(pairs) == 1 for _, pairs in groups)
+    _check_merge(Q + side, Q, [1, 2, 3, 5, 8, 13, 30, 60, 120])
+
+
+@settings(max_examples=60, deadline=None)
+@given(P=st.integers(1, 40), Q=st.integers(1, 40), c=st.integers(2, 10**6), count=st.integers(1, 120))
+def test_merge_of_unreduced_pair_scales_the_reduced_one(P, Q, c, count):
+    _check_merge(P, Q, [count])
+    want = [(c * n, pairs) for n, pairs in berger._merge(P, Q, count)]
+    assert berger._merge(c * P, c * Q, count) == want
 
 
 BREAKPOINTS = [

@@ -258,12 +258,13 @@ def test_index_zero_radius_counts_as_given(capsys, space):
     ],
 )
 def test_index_extreme_radius_is_a_domain_error(capsys, argv):
-    # f or D^2 sin^2 r under- or overflows; the error names r, not the coefficient
+    # r^2, D^2 sin^2 r or a slice value under- or overflows; the error names r, not a coefficient
     code, _, err = run(capsys, "index", *argv)
     assert code == 2
     assert len(err.strip().splitlines()) == 1
     assert "slice parameter r = " in err
     assert "Traceback" not in err
+    assert "coefficient" not in err and "nan" not in err
 
 
 def test_index_page_corrupt_config(capsys, tmp_path):

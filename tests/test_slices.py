@@ -52,6 +52,23 @@ def test_cp2_slice_validation():
         cp2_slice(float("nan"))
 
 
+@pytest.mark.parametrize(
+    "r, fault",
+    [
+        (1e200, "overflows a float"),
+        (1.35e154, "overflows a float"),
+        (1e-200, "underflows to 0"),
+        (1.5e-162, "underflows to 0"),
+    ],
+)
+def test_cp2_radius_whose_square_leaves_the_floats_is_named(r, fault):
+    # r * r is tested before f or x is built from it, so no nan or 0.0 coefficient is reported
+    message = f"slice parameter r = {r!r} is out of range: r^2 {fault}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cp2_slice(r)
+    assert cp2_slice(1.34e154).x > 1 and cp2_slice(1.6e-162).x > 1  # the radii just inside still build
+
+
 def test_cp2_lambda1_values():
     assert cp2_lambda1(1.0) == pytest.approx(8.0, rel=1e-12)
     assert cp2_lambda1(math.sqrt(5.0)) == pytest.approx(9.6, rel=1e-12)
