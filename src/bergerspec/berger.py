@@ -26,28 +26,67 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import starmap
-from typing import Iterable, Union
+from typing import Iterable, TypeVar, Union
 
 RationalLike = Union[int, Fraction, str]
+_R = TypeVar("_R", bound="_Record")
 
 
-@dataclass(frozen=True)
-class Mode:
+class _Record:
+    """An immutable record of the fields named in the class's `_fields`.
+
+    It behaves as a frozen dataclass of those fields would: repr
+    Name(field=value, ...), == only between instances of one class,
+    comparing the field tuples, hash of the field tuple, AttributeError on
+    assignment or deletion, and `replace`.  A subclass's __init__ checks
+    its arguments and stores them with self.__dict__.update, the one write
+    a record allows.  The records are not dataclasses because importing
+    `dataclasses` (with `inspect`) costs every cold process about 10 ms.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{n}={v!r}" for n, v in zip(self._fields, self._values())])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def replace(self: _R, **changes: object) -> _R:
+        """A copy with the named fields changed, built and checked by __init__."""
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+
+class Mode(_Record):
     """Eigenmode label (k, q) of the Berger sphere Laplacian."""
 
-    k: int
-    q: int
+    _fields = ("k", "q")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or not isinstance(self.q, int):
-            raise ValueError(f"mode indices must be integers, got ({self.k!r}, {self.q!r})")
-        if self.k < 0 or self.q < 0 or self.q > self.k:
-            raise ValueError(f"mode requires 0 <= q <= k, got (k={self.k}, q={self.q})")
-        if (self.k - self.q) % 2 != 0:
-            raise ValueError(f"mode requires q = k (mod 2), got (k={self.k}, q={self.q})")
+    def __init__(self, k: int, q: int) -> None:
+        if not isinstance(k, int) or not isinstance(q, int):
+            raise ValueError(f"mode indices must be integers, got ({k!r}, {q!r})")
+        if k < 0 or q < 0 or q > k:
+            raise ValueError(f"mode requires 0 <= q <= k, got (k={k}, q={q})")
+        if (k - q) % 2 != 0:
+            raise ValueError(f"mode requires q = k (mod 2), got (k={k}, q={q})")
+        self.__dict__.update(k=k, q=q)
 
     @property
     def A(self) -> int:
@@ -64,18 +103,17 @@ class Mode:
 def _known_mode(k: int, q: int) -> Mode:
     """Mode(k, q) for a pair the caller generated valid, without re-checking it."""
     mode = object.__new__(Mode)
-    object.__setattr__(mode, "k", k)  # the way the dataclass __init__ sets a frozen field
-    object.__setattr__(mode, "q", q)
+    mode.__dict__.update(k=k, q=q)
     return mode
 
 
-@dataclass(frozen=True)
-class AffineBranch:
+class AffineBranch(_Record):
     """A branch coefficient A + B*x of the spectrum, affine in x = t^{-3}."""
 
-    A: int
-    B: int
-    source: Mode | None = None
+    _fields = ("A", "B", "source")
+
+    def __init__(self, A: int, B: int, source: Mode | None = None) -> None:
+        self.__dict__.update(A=A, B=B, source=source)
 
     def value_at(self, x: RationalLike) -> Fraction:
         return Fraction(self.A) + Fraction(self.B) * Fraction(x)
@@ -87,16 +125,14 @@ class AffineBranch:
         return self.source.label() if self.source is not None else f"A={self.A},B={self.B}"
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
+class SpectrumEntry(_Record):
     """One eigenvalue with multiplicity and its source: the first mode attaining it, if known."""
 
-    value: float
-    multiplicity: int
-    source: Mode | None = None
+    _fields = ("value", "multiplicity", "source")
 
-    def __post_init__(self) -> None:
-        _check_count(self.multiplicity, "multiplicity")
+    def __init__(self, value: float, multiplicity: int, source: Mode | None = None) -> None:
+        _check_count(multiplicity, "multiplicity")
+        self.__dict__.update(value=value, multiplicity=multiplicity, source=source)
 
 
 def branch_of(mode: Mode) -> AffineBranch:
@@ -311,13 +347,13 @@ def branch_crossing(b1: AffineBranch, b2: AffineBranch) -> Fraction | None:
     return x if x > 0 else None
 
 
-@dataclass(frozen=True)
-class PiecewiseCell:
+class PiecewiseCell(_Record):
     """One cell (lo, hi] of a piecewise branch assignment; hi is None when unbounded."""
 
-    lo: Fraction
-    hi: Fraction | None
-    branch: AffineBranch
+    _fields = ("lo", "hi", "branch")
+
+    def __init__(self, lo: Fraction, hi: Fraction | None, branch: AffineBranch) -> None:
+        self.__dict__.update(lo=lo, hi=hi, branch=branch)
 
 
 def _level_walk(
@@ -433,7 +469,7 @@ def eleven_slot_table() -> list[list[PiecewiseCell]]:
     for j in range(1, len(_SLOT_CURVES)):
         *cells, last = _level_walk(_slot_curves(j, "slot"), 1, x_max)
         assert last.branch.B == 0, f"slot {j} ends on {last.branch.label()}, not a beta line"
-        table.append([*cells, replace(last, hi=None)])
+        table.append([*cells, last.replace(hi=None)])
     return table
 
 
@@ -457,7 +493,7 @@ def tanno_lambda1(t: float) -> float:
 def scale_spectrum(entries: Iterable[SpectrumEntry], mu: float) -> list[SpectrumEntry]:
     """Rescale eigenvalues for a metric scaled by mu: values divide by mu."""
     _check_positive(mu, "scale factor")
-    return [replace(e, value=e.value / mu) for e in entries]
+    return [e.replace(value=e.value / mu) for e in entries]
 
 
 def epsilon_lambda1(eps: float) -> float:

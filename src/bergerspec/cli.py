@@ -35,17 +35,16 @@ import argparse
 import csv
 import functools
 import io
-import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
 from .berger import (  # noqa: F401  (distinct_spectrum_at, eleven_slot_table, spectrum_with_multiplicity: bench/tracing.py wraps them here)
     _as_positive_fraction,
     _level_walk,
+    _Record,
     _scaled_rows,
     _slot_curves,
     _total_multiplicity,
@@ -78,13 +77,13 @@ PRECISION_ENV = "BERGERSPEC_PRECISION"
 MAX_PRECISION = 30
 
 
-@dataclass(frozen=True)
-class OutputRequest:
+class OutputRequest(_Record):
     """Where and how a command's table should be written."""
 
-    format: str = "csv"
-    precision: int = 12
-    output: str | None = None
+    _fields = ("format", "precision", "output")
+
+    def __init__(self, format: str = "csv", precision: int = 12, output: str | None = None) -> None:
+        self.__dict__.update(format=format, precision=precision, output=output)
 
 
 Row = tuple  # one cell per field name, in field order
@@ -150,6 +149,8 @@ def emit(table: Table, request: OutputRequest) -> None:
         else:
             cols.append([cell(v, p) for v in col])
     if as_json:
+        import json  # only here: CSV requests do not pay for it
+
         payload = [dict(zip(fields, row)) for row in zip(*cols)]
         text = json.dumps(payload, indent=2) + "\n"
     else:
@@ -292,6 +293,8 @@ def handle_index(args: argparse.Namespace) -> Table:
 
 def _scan_grid(scan: list[float], positive: bool = False, upper: float | None = None) -> list[float]:
     rmin, rmax, steps = scan
+    if not (math.isfinite(rmin) and math.isfinite(rmax)):
+        raise ValueError(f"scan range must be finite, got [{rmin}, {rmax}]")
     if not (math.isfinite(steps) and steps >= 2 and steps == int(steps)):
         raise ValueError(f"scan steps must be an integer >= 2, got {steps}")
     n = int(steps)

@@ -15,9 +15,7 @@ value seen, so a truncated spectrum certifies its own completeness
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .berger import SpectrumEntry, _check_positive
+from .berger import SpectrumEntry, _check_positive, _Record
 
 _SUPPORTED_VALIDITY = ("hypersurface", "constant-curvature")
 
@@ -26,22 +24,19 @@ class RicPerpUnsupportedError(ValueError):
     """Normal Ricci curvature is not computed outside the two shift cases."""
 
 
-@dataclass(frozen=True)
-class EinsteinAmbient:
+class EinsteinAmbient(_Record):
     """An Einstein ambient space, carrying just what the shift needs."""
 
-    n: int
-    s: float
-    validity: str
-    name: str = ""
+    _fields = ("n", "s", "validity", "name")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"ambient dimension must be a positive integer, got {self.n!r}")
-        if self.validity not in _SUPPORTED_VALIDITY + ("general",):
+    def __init__(self, n: int, s: float, validity: str, name: str = "") -> None:
+        if not isinstance(n, int) or n < 1:
+            raise ValueError(f"ambient dimension must be a positive integer, got {n!r}")
+        if validity not in _SUPPORTED_VALIDITY + ("general",):
             raise ValueError(
-                f"validity must be one of {_SUPPORTED_VALIDITY + ('general',)}, got {self.validity!r}"
+                f"validity must be one of {_SUPPORTED_VALIDITY + ('general',)}, got {validity!r}"
             )
+        self.__dict__.update(n=n, s=s, validity=validity, name=name)
 
 
 def jacobi_shift(ambient: EinsteinAmbient) -> float:
@@ -68,8 +63,7 @@ def jacobi_spectrum(laplace: list[SpectrumEntry], shift: float) -> list[Spectrum
     return [SpectrumEntry(e.value - shift, e.multiplicity, e.source) for e in laplace]
 
 
-@dataclass(frozen=True)
-class IndexNullityReport:
+class IndexNullityReport(_Record):
     """Strict index/nullity counts with their witnesses.
 
     witnesses lists (eigenvalue, multiplicity, shifted value) for every
@@ -81,14 +75,27 @@ class IndexNullityReport:
     for a one-entry spectrum).
     """
 
-    parameter: float
-    index: int
-    nullity: int
-    witnesses: tuple[tuple[float, int, float], ...]
-    zero_tolerance: float
-    truncation_bound: float
-    notes: tuple[str, ...] = field(default=())
-    first_shifted: float | None = None
+    _fields = (
+        "parameter", "index", "nullity", "witnesses",
+        "zero_tolerance", "truncation_bound", "notes", "first_shifted",
+    )
+
+    def __init__(
+        self,
+        parameter: float,
+        index: int,
+        nullity: int,
+        witnesses: tuple[tuple[float, int, float], ...],
+        zero_tolerance: float,
+        truncation_bound: float,
+        notes: tuple[str, ...] = (),
+        first_shifted: float | None = None,
+    ) -> None:
+        self.__dict__.update(
+            parameter=parameter, index=index, nullity=nullity, witnesses=witnesses,
+            zero_tolerance=zero_tolerance, truncation_bound=truncation_bound,
+            notes=notes, first_shifted=first_shifted,
+        )
 
 
 def index_nullity(
@@ -152,13 +159,13 @@ def _count_index_nullity(
     )
 
 
-@dataclass(frozen=True)
-class InstabilityVerdict:
+class InstabilityVerdict(_Record):
     """Outcome of the instability criterion, with its certificate."""
 
-    unstable: bool
-    certificate: float | None
-    note: str
+    _fields = ("unstable", "certificate", "note")
+
+    def __init__(self, unstable: bool, certificate: float | None, note: str) -> None:
+        self.__dict__.update(unstable=unstable, certificate=certificate, note=note)
 
     def __bool__(self) -> bool:
         return self.unstable

@@ -18,11 +18,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from importlib import resources
 
-from .berger import _check_positive
+from .berger import _check_positive, _Record
 from .jacobi import EinsteinAmbient, IndexNullityReport
 from .slices import DEFAULT_DEPTH, SliceGeometry, find_root_bisection, slice_index_nullity
 
@@ -37,8 +35,7 @@ class PageStructureError(RuntimeError):
     """The computed family disagrees structurally with the expected shape."""
 
 
-@dataclass(frozen=True)
-class PageConstants:
+class PageConstants(_Record):
     """Coefficient data of the Page Berger-sphere family.
 
     a is the positive root of a^4 + 4a^3 - 6a^2 + 12a - 3 = 0.  The
@@ -48,10 +45,10 @@ class PageConstants:
     x = f / w^2 = (f V / D^2) / sin^2 r.
     """
 
-    a: float
-    f_const: float
-    C: float
-    D: float
+    _fields = ("a", "f_const", "C", "D")
+
+    def __init__(self, a: float, f_const: float, C: float, D: float) -> None:
+        self.__dict__.update(a=a, f_const=f_const, C=C, D=D)
 
     @property
     def a2(self) -> float:
@@ -200,6 +197,8 @@ def page_constants(path: str | None = None, strict: bool = True) -> PageConstant
     that cannot be opened or decoded is a PageConfigError naming the path.
     """
     if path is None:
+        from importlib import resources  # only here: it costs a cold process several ms
+
         text = resources.files(__package__).joinpath(_CONFIG_RESOURCE).read_text()
     else:
         try:
@@ -298,5 +297,5 @@ def page_index_nullity(
             "transition point: strict counting reports the near-zero modes "
             "as nullity, not index"
         )
-        report = replace(report, notes=report.notes + (note,))
+        report = report.replace(notes=report.notes + (note,))
     return report

@@ -16,7 +16,6 @@ for exercising the machinery with independently known answers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -27,6 +26,7 @@ from .berger import (  # noqa: F401  (spectrum_with_multiplicity: bench/tracing.
     _check_positive,
     _known_mode,
     _merge,
+    _Record,
     _total_multiplicity,
     spectrum_with_multiplicity,
     tanno_lambda1,
@@ -46,23 +46,20 @@ ROUND_S4_AMBIENT = EinsteinAmbient(n=4, s=12.0, validity="constant-curvature", n
 DEFAULT_DEPTH = 25
 
 
-@dataclass(frozen=True)
-class SliceGeometry:
+class SliceGeometry(_Record):
     """One slice f (sigma_1^2 + sigma_2^2) + (f / x) sigma_3^2 at parameter r, with x = t^{-3} exact."""
 
-    r: float
-    f: float
-    x: Fraction
-    ambient: EinsteinAmbient
+    _fields = ("r", "f", "x", "ambient")
 
-    def __post_init__(self) -> None:
+    def __init__(self, r: float, f: float, x: Fraction, ambient: EinsteinAmbient) -> None:
         # a Fraction is finite, and its sign is its numerator's
-        for name, value, ok in (("f", self.f, 0 < self.f < math.inf), ("x", self.x, self.x.numerator > 0)):
-            if not ok:
-                raise ValueError(
-                    f"slice parameter r = {self.r!r} is out of range: "
-                    f"coefficient {name} = {value!r} is not finite and positive"
-                )
+        if not (0 < f < math.inf and x.numerator > 0):
+            name, value = ("x", x) if 0 < f < math.inf else ("f", f)
+            raise ValueError(
+                f"slice parameter r = {r!r} is out of range: "
+                f"coefficient {name} = {value!r} is not finite and positive"
+            )
+        self.__dict__.update(r=r, f=f, x=x, ambient=ambient)
 
     @property
     def w2(self) -> float:

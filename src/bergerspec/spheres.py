@@ -7,15 +7,16 @@ Everything here is exact integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
+from .berger import _Record
 
-@dataclass(frozen=True)
-class SphereSpectrumEntry:
-    degree: int
-    eigenvalue: int
-    multiplicity: int
+
+class SphereSpectrumEntry(_Record):
+    _fields = ("degree", "eigenvalue", "multiplicity")
+
+    def __init__(self, degree: int, eigenvalue: int, multiplicity: int) -> None:
+        self.__dict__.update(degree=degree, eigenvalue=eigenvalue, multiplicity=multiplicity)
 
 
 def _check_dim(p: int) -> None:

@@ -1,8 +1,11 @@
 import csv
 import json
 import math
+import subprocess
+import sys
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -220,6 +223,22 @@ def test_index_scan_non_finite_steps(capsys, steps):
     code, out, err = run(capsys, "index", "cp2", "--scan", "1", "2", steps)
     assert (code, out) == (2, "")
     assert err == f"bergerspec: scan steps must be an integer >= 2, got {steps}\n"
+
+
+@pytest.mark.parametrize("space", ["cp2", "page"])
+@pytest.mark.parametrize("rmin, rmax", [("1", "inf"), ("nan", "2"), (" -inf", "2")])
+def test_index_scan_non_finite_range(capsys, space, rmin, rmax):
+    # the error names the scan range, not a radius the grid made from it
+    code, out, err = run(capsys, "index", space, "--scan", rmin, rmax, "3")
+    assert (code, out) == (2, "")
+    assert err == f"bergerspec: scan range must be finite, got [{float(rmin)}, {float(rmax)}]\n"
+
+
+def test_index_scan_bare_negative_infinity_is_a_usage_error(capsys):
+    # argparse reads a bare "-inf" as an option, so --scan is short of values
+    code, out, err = run(capsys, "index", "cp2", "--scan", "-inf", "2", "3")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --scan: expected 3 arguments\n")
 
 
 def test_index_mode_exclusivity(capsys):
@@ -466,3 +485,14 @@ def test_piecewise_bad_xmax_is_a_usage_error(capsys, value):
     assert code == 2
     assert out == ""
     assert f"argument --xmax: invalid Fraction value: '{value}'" in err
+
+
+def test_cold_import_loads_no_module_it_does_not_use():
+    # -S skips site hooks, which may import these modules on their own
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); import bergerspec.cli; "
+        "print(*sorted({'dataclasses', 'inspect', 'json', 'importlib.resources'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "\n")

@@ -9,7 +9,6 @@ import functools
 import math
 import random
 import re
-from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -137,11 +136,11 @@ def test_corrupted_constants_move_the_roots(consts):
     # the roots are the anchor that catches a wrong f_const (nothing at
     # load time constrains it); a corrupted value must push at least one
     # root outside the acceptance window
-    bad = replace(consts, f_const=1.1)
+    bad = consts.replace(f_const=1.1)
     r1, r2 = page_transition_roots(1e-6, bad)
     assert abs(r1 - R1_PRINTED) > 1e-3 or abs(r2 - R2_PRINTED) > 1e-3
 
-    bad_a = replace(consts, a=0.5)
+    bad_a = consts.replace(a=0.5)
     r1, r2 = page_transition_roots(1e-6, bad_a)
     assert abs(r1 - R1_PRINTED) > 1e-3
 
@@ -284,7 +283,7 @@ def test_roots_are_mirror_images(consts):
     D=st.floats(min_value=0.1, max_value=5.0),
 )
 def test_root_count_matches_a_dense_grid(a, f_const, D):
-    c = replace(page_constants(), a=a, f_const=f_const, D=D)
+    c = page_constants().replace(a=a, f_const=f_const, D=D)
     # a value within rounding of zero at pi/2 would leave the grid's count to rounding
     assume(abs(page_shifted_lambda1(math.pi / 2, c)) > 1e-9)
     assert c.root_count == _sign_changes(lambda r: page_shifted_lambda1(r, c), _grid(4096))
@@ -318,7 +317,7 @@ def test_index_profile_is_symmetric(consts):
 
 
 def test_corrupted_constants_fail_the_root_count_on_every_call(consts):
-    bad = replace(consts, D=0.1)  # the shifted value stays positive: no roots
+    bad = consts.replace(D=0.1)  # the shifted value stays positive: no roots
     for tol in (1e-3, 1e-6, 1e-6, 1e-10):
         with pytest.raises(PageStructureError, match="found 0"):
             page_transition_roots(tol, bad)

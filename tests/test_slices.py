@@ -1,7 +1,6 @@
 import math
 import random
 import re
-from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -208,8 +207,8 @@ def _assert_same_report(geom, depth, zero_tolerance=None, notes=()):
             slice_index_nullity(geom, depth, zero_tolerance, notes)
         return want
     got = slice_index_nullity(geom, depth, zero_tolerance, notes)
-    for f in fields(IndexNullityReport):
-        assert getattr(got, f.name) == getattr(want, f.name), f.name
+    for name in IndexNullityReport._fields:
+        assert getattr(got, name) == getattr(want, name), name
     assert repr(got) == repr(want)  # also tells -0.0 from 0.0
     return got
 
