@@ -26,12 +26,9 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import starmap
-from typing import Iterable, TypeVar, Union
-
-RationalLike = Union[int, Fraction, str]
-_R = TypeVar("_R", bound="_Record")
 
 
 class _Record:
@@ -69,7 +66,7 @@ class _Record:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def replace(self: _R, **changes: object) -> _R:
+    def replace(self, **changes: object) -> _Record:
         """A copy with the named fields changed, built and checked by __init__."""
         return type(self)(**dict(zip(self._fields, self._values()), **changes))
 
@@ -115,7 +112,7 @@ class AffineBranch(_Record):
     def __init__(self, A: int, B: int, source: Mode | None = None) -> None:
         self.__dict__.update(A=A, B=B, source=source)
 
-    def value_at(self, x: RationalLike) -> Fraction:
+    def value_at(self, x: int | Fraction | str) -> Fraction:
         return Fraction(self.A) + Fraction(self.B) * Fraction(x)
 
     def same_line(self, other: "AffineBranch") -> bool:
@@ -189,7 +186,7 @@ def enumerate_modes(k_max: int) -> list[Mode]:
     return [_known_mode(k, q) for k in range(k_max + 1) for q in range(k % 2, k + 1, 2)]
 
 
-def _as_positive_fraction(x: RationalLike, name: str) -> Fraction:
+def _as_positive_fraction(x: int | Fraction | str, name: str) -> Fraction:
     try:
         value = Fraction(x)
     except (ValueError, OverflowError, ZeroDivisionError):  # NaN, inf, "inf", "1/0"
@@ -213,33 +210,12 @@ def _merge(P: int, Q: int, count: int) -> list[tuple[int, list[tuple[int, int]]]
     """The `count` smallest distinct branch values at x = P/Q, as numerators over Q.
 
     Returns [(n, [(k, q), ...]), ...]: one entry per distinct value n/Q,
-    ascending, with every mode (k, q) attaining it as a plain pair, in the
-    order distinct_spectrum_at documents.  Callers build from the pairs
-    only what they use: Modes, labels or multiplicities.  The values are
-    a k-way merge, in integers, of one sorted stream per k: stream k yields
-    k(k+2) Q + q^2 (P - Q), nondecreasing as q runs up from k mod 2
-    (P >= Q) or down from k (P < Q).  Stream k + 2 starts strictly above
-    stream k, so it joins the heap when the first entry of stream k leaves
-    it.  The merge stops at the first numerator past the `count`-th value.
-    P/Q need not be in lowest terms.
-
-    At P = Q every entry of stream k is k(k+2) Q, a numerator no other
-    stream has, so value j is all of stream j in ascending q; that case is
-    returned in closed form.  Otherwise entries of one stream differ in
-    q^2 (P - Q), so no two of them tie.
-
-    A heap entry is (num, k, i, q): numerator, stream, the entry's
-    position i = 0 .. k >> 1 in its stream, and its q.  The keys
-    (num, k, i) of distinct modes are distinct, so q is never compared,
-    and they are totally ordered: every way of maintaining the heap pops
-    them in the same order, so the mode order, and with it modes[0] of
-    each value, does not depend on it.  The next entry of a stream is the
-    popped one's numerator plus step (2q + step)(P - Q), with step = +-2
-    the direction of q, and it takes the popped one's place in a single
-    sift (`heapreplace`); so does the first entry of stream k + 2, built
-    once per stream, when stream k has no next entry.  A mode returned
-    costs one sift, logarithmic in the number of open streams, and one
-    integer add, with no Python function call.
+    ascending, with every mode (k, q) attaining it, in the order
+    distinct_spectrum_at documents.  P/Q need not be in lowest terms.
+    The values are a k-way heap merge, in integers, of one sorted stream
+    of modes per k; a mode returned costs one heap sift, logarithmic in
+    the number of open streams, and one integer add.  At P = Q the result
+    is in closed form.
     """
     if P == Q:
         return [
@@ -249,6 +225,9 @@ def _merge(P: int, Q: int, count: int) -> list[tuple[int, list[tuple[int, int]]]
     step = 2 if slope > 0 else -2
     rise = step * slope  # q^2 (P - Q) grows by (2q + step) * rise per step of q
     heapreplace, heappush, heappop = heapq.heapreplace, heapq.heappush, heapq.heappop
+    # an entry is (numerator, k, position i of q in stream k, q); the keys
+    # (num, k, i) are distinct, so q is never compared and the pop order is
+    # total.  Stream k + 2 starts above stream k: it opens when i = 0 leaves.
     heap = [(0, 0, 0, 0), (3 * Q + slope, 1, 0, 1)]
     groups: list[tuple[int, list[tuple[int, int]]]] = []
     last = -1  # numerators are non-negative
@@ -276,7 +255,7 @@ def _merge(P: int, Q: int, count: int) -> list[tuple[int, list[tuple[int, int]]]
 
 
 def distinct_spectrum_at(
-    x: RationalLike, count: int
+    x: int | Fraction | str, count: int
 ) -> list[tuple[Fraction, list[Mode]]]:
     """The `count` smallest distinct branch values A + B*x, exactly.
 
@@ -295,7 +274,7 @@ def distinct_spectrum_at(
 
 
 def spectrum_with_multiplicity(
-    x: RationalLike, count: int
+    x: int | Fraction | str, count: int
 ) -> list[tuple[Fraction, int, list[Mode]]]:
     """Like distinct_spectrum_at, adding the total multiplicity per value."""
     return [
@@ -397,7 +376,7 @@ def _level_walk(
         p, q = n, d
 
 
-def kth_distinct_piecewise(i: int, x_max: RationalLike) -> list[PiecewiseCell]:
+def kth_distinct_piecewise(i: int, x_max: int | Fraction | str) -> list[PiecewiseCell]:
     """Partition of (0, x_max] realizing the i-th smallest distinct value.
 
     Position i counts nonzero distinct values; the constant mode (0, 0) is
@@ -473,7 +452,7 @@ def eleven_slot_table() -> list[list[PiecewiseCell]]:
     return table
 
 
-def slot_value_at(slot: int, x: RationalLike) -> Fraction:
+def slot_value_at(slot: int, x: int | Fraction | str) -> Fraction:
     """Coefficient value of table slot `slot` (1-based) at x: the least of its curves."""
     xf = _as_positive_fraction(x, "x")
     return min(br.value_at(xf) for br in _slot_curves(slot, "slot"))

@@ -15,11 +15,11 @@ with '#'.  Exit status: 0 success, 2 usage or domain error, 3 structural
 error (for example a Page root count other than two).
 
 Each handler returns a table of comments, field names and rows, every
-row a tuple of cells in field order.  `emit` converts the table column
-by column: a column of exact ints and strs is written as it is, a column
-of exact floats is formatted in one pass, and any other column cell by
-cell (`_cell` for CSV, `_json_cell` for JSON).  CSV is then written in
-one `csv.writer.writerows` pass.
+row a tuple of cells in field order, and is the one place where exact
+values become text: it writes them as str.  So every column `emit` sees
+holds cells of one type, int, str or float; it writes int and str
+columns as they are, formats float columns to --precision digits, and
+refuses any other column with a TypeError.
 
 `main` can be called many times in one process.  The argument parser is
 built once per process, on the first call, and the packaged Page
@@ -37,9 +37,9 @@ import functools
 import io
 import math
 import os
+import re
 import sys
 from fractions import Fraction
-from typing import Any
 
 from .berger import (  # noqa: F401  (distinct_spectrum_at, eleven_slot_table, spectrum_with_multiplicity: bench/tracing.py wraps them here)
     _as_positive_fraction,
@@ -89,65 +89,30 @@ class OutputRequest(_Record):
 Row = tuple  # one cell per field name, in field order
 Table = tuple[list[str], list[str], list[Row]]  # comments, fieldnames, rows
 
-_BOOL_CELL = "boolean cells are not part of any table"
-# column cell types `emit` converts as a whole; type() is exact, so bool
-# and every other subclass fall through to the per-cell rule
-_PLAIN_KINDS = frozenset({int, str})
-_FLOAT_KINDS = frozenset({float})
-
-
-def _fmt_real(value: float, precision: int) -> str:
-    return f"{value:.{precision}g}"
-
-
-def _cell(value: Any, precision: int) -> str:
-    if isinstance(value, float):
-        return _fmt_real(value, precision)
-    if isinstance(value, bool):
-        raise TypeError(_BOOL_CELL)
-    return str(value)
-
-
-def _json_cell(value: Any, precision: int) -> Any:
-    if isinstance(value, bool):
-        raise TypeError(_BOOL_CELL)
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, int):
-        return value
-    if isinstance(value, float):
-        return float(_fmt_real(value, precision))
-    return str(value)
-
 
 def emit(table: Table, request: OutputRequest) -> None:
     """Write the table as CSV or JSON, converting it column by column.
 
-    The rows are transposed once, and each column's conversion is chosen
-    once from the set of its cell types: a column of exact ints and strs
-    goes through unchanged, a column of exact floats is formatted in one
-    pass to --precision digits, and any other column (None, bool,
-    Fraction, a subclass, or mixed types) goes cell by cell through
-    `_cell` or `_json_cell`.  So every cell gets the per-cell rule's
-    bytes: None still prints "None" and a bool still raises.  Both
-    formats take this one pass; CSV writes the columns back as rows in
-    one `writerows` call.
+    Each column must hold cells of exactly one type.  A column of ints or
+    of strs is written as it is; a column of floats is formatted to
+    --precision significant digits, and JSON reads each text back with
+    `float`.  Any other column, bool or a subclass or mixed types
+    included, raises a TypeError naming the column and its cell types.
+    CSV writes the columns back as rows in one `writerows` call.
     """
     comments, fields, rows = table
-    p = request.precision
     as_json = request.format == "json"
-    cell = _json_cell if as_json else _cell
-    real = f"{{:.{p}g}}".format  # _fmt_real's spec, built once per call
-    cols: list[Any] = []
-    for col in zip(*rows):
+    real = f"{{:.{request.precision}g}}".format
+    cols = []
+    for name, col in zip(fields, zip(*rows)):
         kinds = set(map(type, col))
-        if kinds <= _PLAIN_KINDS:
+        if kinds == {int} or kinds == {str}:
             cols.append(col)
-        elif kinds == _FLOAT_KINDS:
+        elif kinds == {float}:
             texts = list(map(real, col))
             cols.append(list(map(float, texts)) if as_json else texts)
         else:
-            cols.append([cell(v, p) for v in col])
+            raise TypeError(f"column {name!r} holds cells of type {sorted(k.__name__ for k in kinds)}")
     if as_json:
         import json  # only here: CSV requests do not pay for it
 
@@ -178,21 +143,12 @@ def handle_sphere(args: argparse.Namespace) -> Table:
 def handle_berger(args: argparse.Namespace) -> Table:
     """The --count smallest distinct eigenvalues at --t or --epsilon, a row each.
 
-    A row costs its share of one integer merge plus one int division
-    (`berger._scaled_rows`): no Fraction, Mode or SpectrumEntry is built
-    per value.  The eigenvalue is s (A + B x) with s = t, or s = 1 for
-    --epsilon, and `value` is bit-identical to the float of that exact
-    rational.  A and B, those of the first mode attaining the value, are
-    written as the strings the exact columns serialize to.  A, B and the
-    label are built here from the merge's (k, q) pairs, and the
-    multiplicity sum only under --with-multiplicity: no cell is built that
-    the table does not print.
-
-    The cost is proportional to the output, which grows faster than
-    --count: the `mode` cell lists every mode attaining the value.  At
-    t = 1, the round sphere, value n carries about n/2 modes, so --count c
-    prints about c^2/4 labels (62,750 at c = 500).  `sphere` likewise
-    prints one row per degree through --kmax.
+    Each row holds n, the float of the exact value s (A + B x), the A and B
+    of the first mode attaining it as strings, and every such mode's label.
+    A row costs its share of one integer merge (`berger._scaled_rows`), so
+    the cost is proportional to the output, which grows faster than
+    --count: at t = 1 value n carries about n/2 modes, so --count c prints
+    about c^2/4 labels.
     """
     if (args.t is None) == (args.epsilon is None):
         raise ValueError("exactly one of --t and --epsilon is required")
@@ -247,9 +203,7 @@ def handle_piecewise(args: argparse.Namespace) -> Table:
             "slots keep their branch identity across crossings; they are not",
             "the ascending distinct-value order wherever curves have crossed",
         ]
-    rows = [
-        (c.lo, c.hi, Fraction(c.branch.A), Fraction(c.branch.B), c.branch.label()) for c in cells
-    ]
+    rows = [(*map(str, (c.lo, c.hi, c.branch.A, c.branch.B)), c.branch.label()) for c in cells]
     return comments, ["lo", "hi", "A", "B", "mode"], rows
 
 
@@ -281,7 +235,7 @@ def handle_index(args: argparse.Namespace) -> Table:
     consts = _page_setup(args)
     r1, r2 = page_transition_roots(args.tol, consts)
     comments = [
-        f"page family, Jacobi shift {_fmt_real(consts.shift, 12)}",
+        f"page family, Jacobi shift {consts.shift:.12g}",
         f"certified roots (tol {args.tol:g}): r1 = {r1!r}, r2 = {r2!r}",
     ]
     if args.roots:
@@ -361,6 +315,19 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", "-o", default=None, help="write to this path instead of stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that takes "-1e-3", "-1/2", "-inf" and "-nan" as values.
+
+    argparse's own private `_negative_number_matcher` knows only "-3" and
+    "-0.5", and reads any other negative value as an unknown option.
+    Subparsers are built with this class.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(?:\.?\d|inf|nan)", re.IGNORECASE)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by later calls.
@@ -369,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     call of a process.  It names no handler: `main` looks the handler up
     by subcommand when it runs.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bergerspec",
         description="Exact Berger sphere spectra and Jacobi index profiles",
     )

@@ -16,8 +16,8 @@ for exercising the machinery with independently known answers.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
 
 from .berger import (  # noqa: F401  (spectrum_with_multiplicity: bench/tracing.py wraps it here)
     SpectrumEntry,

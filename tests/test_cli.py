@@ -1,6 +1,8 @@
+import argparse
 import csv
 import json
 import math
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from bergerspec.cli import main
+from bergerspec.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -235,10 +237,43 @@ def test_index_scan_non_finite_range(capsys, space, rmin, rmax):
 
 
 def test_index_scan_bare_negative_infinity_is_a_usage_error(capsys):
-    # argparse reads a bare "-inf" as an option, so --scan is short of values
+    # a bare "-inf" is a value, not an option, so the range check names it
     code, out, err = run(capsys, "index", "cp2", "--scan", "-inf", "2", "3")
     assert (code, out) == (2, "")
-    assert err.endswith("error: argument --scan: expected 3 arguments\n")
+    assert err == "bergerspec: scan range must be finite, got [-inf, 2.0]\n"
+
+
+_NEGATIVE_VALUES = [
+    (["index", "cp2", "--r", "-inf"], "radius must be finite and positive, got -inf"),
+    (["index", "cp2", "--r", "-1e-3"], "radius must be finite and positive, got -0.001"),
+    (["index", "cp2", "--scan", "-1e-3", "2", "3"], "scan range must be positive, got rmin = -0.001"),
+    (["berger", "--t", "-1/2"], "--t must be positive, got -1/2"),
+    (["berger", "--t", "-1e-3"], "--t must be positive, got -1/1000"),
+    (["piecewise", "--index", "2", "--xmax", "-1/2"], "--xmax must be positive, got -1/2"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", _NEGATIVE_VALUES, ids=[" ".join(argv) for argv, _ in _NEGATIVE_VALUES]
+)
+def test_negative_values_reach_the_domain_checks(capsys, argv, message):
+    # argparse's own pattern takes only "-3" and "-0.5" for negative numbers
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"bergerspec: {message}\n"
+
+
+def test_a_dash_that_is_no_number_is_still_an_unknown_option(capsys):
+    code, out, err = run(capsys, "index", "cp2", "--r", "-x")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --r: expected one argument\n")
+
+
+def test_argparse_still_has_the_negative_number_matcher():
+    # the parser sets this private attribute; if argparse stops reading it,
+    # negative exponents, fractions and -inf are read as options again
+    assert isinstance(argparse.ArgumentParser()._negative_number_matcher, re.Pattern)
+    assert build_parser()._negative_number_matcher.match("-1/2")
 
 
 def test_index_mode_exclusivity(capsys):
@@ -492,7 +527,8 @@ def test_cold_import_loads_no_module_it_does_not_use():
     src = str(Path(__file__).resolve().parents[1] / "src")
     probe = (
         f"import sys; sys.path.insert(0, {src!r}); import bergerspec.cli; "
-        "print(*sorted({'dataclasses', 'inspect', 'json', 'importlib.resources'} & set(sys.modules)))"
+        "print(*sorted({'dataclasses', 'inspect', 'json', 'importlib.resources', 'typing'}"
+        " & set(sys.modules)))"
     )
     proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "\n")
