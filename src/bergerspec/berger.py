@@ -115,9 +115,6 @@ class AffineBranch(_Record):
     def value_at(self, x: int | Fraction | str) -> Fraction:
         return Fraction(self.A) + Fraction(self.B) * Fraction(x)
 
-    def same_line(self, other: "AffineBranch") -> bool:
-        return self.A == other.A and self.B == other.B
-
     def label(self) -> str:
         return self.source.label() if self.source is not None else f"A={self.A},B={self.B}"
 
@@ -155,24 +152,14 @@ def beta_branch(l: int) -> AffineBranch:
     return branch_of(Mode(l, 0))
 
 
-def mode_value(m: Mode, t: float) -> float:
-    """Eigenvalue t*(A + B*t^{-3}) of mode m on g_B^t."""
-    _check_positive(t, "squash parameter t")
-    return t * (m.A + m.B * t ** -3)
-
-
-def mode_multiplicity(m: Mode) -> int:
-    """Multiplicity k+1 for q = 0, else 2(k+1).
-
-    The rule is fixed by the round-sphere totals: at t = 1 the modes with
-    fixed k must sum to the harmonic dimension (k+1)^2, and each q > 0
-    carries the two circle-weight signs.
-    """
-    return _total_multiplicity([(m.k, m.q)])
-
-
 def _total_multiplicity(pairs: list[tuple[int, int]]) -> int:
-    """Summed mode_multiplicity of the modes (k, q) attaining one value."""
+    """Summed multiplicity of the modes (k, q) attaining one value.
+
+    A mode has multiplicity k+1 for q = 0, else 2(k+1).  The rule is fixed
+    by the round-sphere totals: at t = 1 the modes with fixed k must sum
+    to the harmonic dimension (k+1)^2, and each q > 0 carries the two
+    circle-weight signs.
+    """
     total = 0
     for k, q in pairs:  # a plain loop: no comprehension frame per value
         total += k + 1 if q == 0 else 2 * (k + 1)
@@ -318,7 +305,7 @@ def branch_crossing(b1: AffineBranch, b2: AffineBranch) -> Fraction | None:
     Parallel distinct lines and crossings at x <= 0 give None; identical
     lines are rejected.
     """
-    if b1.same_line(b2):
+    if (b1.A, b1.B) == (b2.A, b2.B):
         raise ValueError(f"identical branches A={b1.A}, B={b1.B} have no crossing")
     if b1.B == b2.B:
         return None

@@ -34,7 +34,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import math
 import os
 import re
@@ -97,8 +96,9 @@ def emit(table: Table, request: OutputRequest) -> None:
     of strs is written as it is; a column of floats is formatted to
     --precision significant digits, and JSON reads each text back with
     `float`.  Any other column, bool or a subclass or mixed types
-    included, raises a TypeError naming the column and its cell types.
-    CSV writes the columns back as rows in one `writerows` call.
+    included, raises a TypeError naming the column and its cell types,
+    before the output is opened.  CSV is written straight to the output,
+    the rows in one `writerows` call; JSON is one `json.dumps` string.
     """
     comments, fields, rows = table
     as_json = request.format == "json"
@@ -116,21 +116,19 @@ def emit(table: Table, request: OutputRequest) -> None:
     if as_json:
         import json  # only here: CSV requests do not pay for it
 
-        payload = [dict(zip(fields, row)) for row in zip(*cols)]
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        buf = io.StringIO()
-        for c in comments:
-            buf.write(f"# {c}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(fields)
-        writer.writerows(zip(*cols))
-        text = buf.getvalue()
-    if request.output is None:
-        sys.stdout.write(text)
-    else:
-        with open(request.output, "w") as fh:
-            fh.write(text)
+        text = json.dumps([dict(zip(fields, row)) for row in zip(*cols)], indent=2) + "\n"
+    out = sys.stdout if request.output is None else open(request.output, "w")
+    try:
+        if as_json:
+            out.write(text)
+        else:
+            out.writelines(f"# {c}\n" for c in comments)
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(fields)
+            writer.writerows(zip(*cols))
+    finally:
+        if out is not sys.stdout:
+            out.close()
 
 
 def handle_sphere(args: argparse.Namespace) -> Table:
@@ -229,7 +227,7 @@ def handle_index(args: argparse.Namespace) -> Table:
         if args.roots:
             raise ValueError("--roots applies only to the page family")
         comments = ["cp2 geodesic spheres, Jacobi shift 3/2"]
-        radii = [args.r] if args.r is not None else _scan_grid(args.scan, positive=True)
+        radii = [args.r] if args.r is not None else _scan_grid(args.scan)
         rows = [_index_row(r, slice_index_nullity(cp2_slice(r), args.depth)) for r in radii]
         return comments, fields, rows
     consts = _page_setup(args)
@@ -245,7 +243,8 @@ def handle_index(args: argparse.Namespace) -> Table:
     return comments, fields, rows
 
 
-def _scan_grid(scan: list[float], positive: bool = False, upper: float | None = None) -> list[float]:
+def _scan_grid(scan: list[float], upper: float | None = None) -> list[float]:
+    """STEPS radii evenly spaced from RMIN > 0 to RMAX < upper, the last exactly RMAX."""
     rmin, rmax, steps = scan
     if not (math.isfinite(rmin) and math.isfinite(rmax)):
         raise ValueError(f"scan range must be finite, got [{rmin}, {rmax}]")
@@ -254,12 +253,12 @@ def _scan_grid(scan: list[float], positive: bool = False, upper: float | None = 
     n = int(steps)
     if rmin >= rmax:
         raise ValueError(f"scan needs rmin < rmax, got [{rmin}, {rmax}]")
-    if positive and rmin <= 0:
-        raise ValueError(f"scan range must be positive, got rmin = {rmin}")
     if upper is not None and not (0 < rmin and rmax < upper):
         raise ValueError(f"scan range must lie in (0, {upper:g}), got [{rmin}, {rmax}]")
+    if rmin <= 0:
+        raise ValueError(f"scan range must be positive, got rmin = {rmin}")
     step = (rmax - rmin) / (n - 1)
-    return [rmin + k * step for k in range(n)]
+    return [rmin + k * step for k in range(n - 1)] + [rmax]
 
 
 def handle_plotdata(args: argparse.Namespace) -> Table:
@@ -415,7 +414,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         emit(table, request)
     except OSError as exc:
-        print(f"bergerspec: cannot write {request.output}: {exc}", file=sys.stderr)
+        where = "stdout" if request.output is None else request.output
+        print(f"bergerspec: cannot write {where}: {exc}", file=sys.stderr)
         return 3
     return 0
 

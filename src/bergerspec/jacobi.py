@@ -104,7 +104,6 @@ def index_nullity(
     *,
     parameter: float = 0.0,
     shift: float = 0.0,
-    notes: tuple[str, ...] = (),
 ) -> IndexNullityReport:
     """Count negative and zero Jacobi eigenvalues with multiplicity.
 
@@ -118,7 +117,6 @@ def index_nullity(
         zero_tolerance,
         parameter=parameter,
         shift=shift,
-        notes=notes,
     )
 
 
@@ -129,7 +127,6 @@ def _count_index_nullity(
     *,
     parameter: float,
     shift: float,
-    notes: tuple[str, ...],
 ) -> IndexNullityReport:
     """index_nullity on the shifted values and their multiplicities."""
     _check_positive(zero_tolerance, "zero_tolerance")
@@ -154,7 +151,6 @@ def _count_index_nullity(
         witnesses=tuple(witnesses),
         zero_tolerance=zero_tolerance,
         truncation_bound=values[-1],
-        notes=tuple(notes),
         first_shifted=values[1] if len(values) > 1 else None,
     )
 

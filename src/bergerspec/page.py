@@ -73,12 +73,6 @@ class PageConstants(_Record):
         a2 = self.a * self.a
         return 1.0 - a2 * c * c, 3.0 - a2 - a2 * (1.0 + a2) * c * c
 
-    def P(self, r: float) -> float:
-        return self.PQ(r)[0]
-
-    def Q(self, r: float) -> float:
-        return self.PQ(r)[1]
-
     def V(self, r: float) -> float:
         P, Q = self.PQ(r)
         return P / Q
@@ -87,7 +81,7 @@ class PageConstants(_Record):
         return math.sqrt(self.V(r))
 
     def f(self, r: float) -> float:
-        return self.f_const * self.P(r)
+        return self.f_const * self.PQ(r)[0]
 
     def w(self, r: float) -> float:
         return self.D * math.sin(r) / self.U(r)
@@ -131,7 +125,7 @@ class PageConstants(_Record):
         zeros as g(pi/2) = 2/f_const + 1/((3 - a^2) D^2) - 3(1 + a^2) is
         < 0, = 0 or > 0.  Both are decided exactly, in Fractions of the
         stored floats.  A failed hypothesis is a PageStructureError naming
-        it, which only constants loaded with strict=False can reach.
+        it, which only constants that bypass `validate` can reach.
         """
         a, f, D = self.a, self.f_const, self.D
         for hypothesis, holds in (
@@ -189,12 +183,11 @@ def _parse_config(text: str) -> dict[str, float]:
     return values
 
 
-def page_constants(path: str | None = None, strict: bool = True) -> PageConstants:
-    """Load the coefficient transcription, verifying its anchors.
+def page_constants(path: str | None = None) -> PageConstants:
+    """Load the coefficient transcription, verifying its anchors (`validate`).
 
-    With strict=False the anchor checks are skipped; that mode exists for
-    negative-control tests that deliberately corrupt a constant.  A file
-    that cannot be opened or decoded is a PageConfigError naming the path.
+    A file that cannot be opened or decoded is a PageConfigError naming
+    the path.
     """
     if path is None:
         from importlib import resources  # only here: it costs a cold process several ms
@@ -213,8 +206,7 @@ def page_constants(path: str | None = None, strict: bool = True) -> PageConstant
     consts = PageConstants(
         a=values["a"], f_const=values["f_const"], C=values["C"], D=values["D"]
     )
-    if strict:
-        consts.validate()
+    consts.validate()
     return consts
 
 
@@ -242,11 +234,6 @@ def page_shifted_lambda1(r: float, constants: PageConstants | None = None) -> fl
     s = c._sine(r)
     P, Q = c.PQ(r)
     return 2.0 / (c.f_const * P) + P / Q / (c.D * c.D * s * s) - c.shift
-
-
-def page_x(r: float, constants: PageConstants | None = None) -> Fraction:
-    """Squash coordinate x = t^{-3} of the slice at r, exact as `page_slice(r).x`."""
-    return (constants or _default_constants()).x(r)
 
 
 def page_transition_roots(

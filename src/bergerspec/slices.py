@@ -7,10 +7,10 @@ the volume factor mu = f t turns it into the unit-volume Berger metric
 g_B^t with t = x^{-1/3}, so the slice Laplace spectrum is
 t (A + B x) / mu = (A + B x) / f per branch.
 
-The concrete family implemented in this module is the geodesic spheres of
-the complex projective plane (f = r^2/(1+r^2), x = 1 + r^2, shift 3/2).
-A synthetic family (round equatorial spheres in the round 4-sphere) ships
-for exercising the machinery with independently known answers.
+The family implemented in this module is the geodesic spheres of the
+complex projective plane (f = r^2/(1+r^2), x = 1 + r^2, shift 3/2); the
+Page family lives in `page`.  Every family builds a SliceGeometry, and
+`slice_spectrum` and `slice_index_nullity` serve them all.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .jacobi import (  # noqa: F401  (index_nullity, jacobi_spectrum: bench/trac
 )
 
 CP2_AMBIENT = EinsteinAmbient(n=4, s=6.0, validity="hypersurface", name="CP^2")
-ROUND_S4_AMBIENT = EinsteinAmbient(n=4, s=12.0, validity="constant-curvature", name="round S^4")
 
 DEFAULT_DEPTH = 25
 
@@ -60,11 +59,6 @@ class SliceGeometry(_Record):
                 f"coefficient {name} = {value!r} is not finite and positive"
             )
         self.__dict__.update(r=r, f=f, x=x, ambient=ambient)
-
-    @property
-    def w2(self) -> float:
-        """The sigma_3^2 coefficient f / x."""
-        return float(Fraction(self.f) / self.x)
 
     @property
     def t(self) -> float:
@@ -126,7 +120,6 @@ def slice_index_nullity(
     geom: SliceGeometry,
     depth: int = DEFAULT_DEPTH,
     zero_tolerance: float | None = None,
-    notes: tuple[str, ...] = (),
 ) -> IndexNullityReport:
     """Index and nullity of the slice's Jacobi operator, strict counts.
 
@@ -147,7 +140,6 @@ def slice_index_nullity(
         zero_tolerance,
         parameter=geom.r,
         shift=shift,
-        notes=notes,
     )
     if report.truncation_bound <= zero_tolerance:
         raise ValueError(
@@ -194,19 +186,6 @@ def cp2_lambda1_exact(r_squared: Fraction) -> Fraction:
 def cp2_index_nullity(r: float, depth: int = DEFAULT_DEPTH) -> IndexNullityReport:
     """Jacobi index and nullity of the geodesic sphere at radius r."""
     return slice_index_nullity(cp2_slice(r), depth)
-
-
-def synthetic_slice(r: float) -> SliceGeometry:
-    """Round sphere of latitude r in the round 4-sphere (f = sin^2 r, x = 1).
-
-    This degenerates at r = 0 and pi like the Page family and has a fully
-    known spectrum (the round 3-sphere of radius sin r), making it a
-    machinery check that is independent of any coefficient transcription.
-    """
-    if not 0 < r < math.pi:
-        raise ValueError(f"latitude must lie in (0, pi), got {r!r}")
-    s = math.sin(r)
-    return SliceGeometry(r=r, f=s * s, x=Fraction(1), ambient=ROUND_S4_AMBIENT)
 
 
 def find_root_bisection(

@@ -27,8 +27,6 @@ from bergerspec.berger import (
     epsilon_lambda1,
     gamma_branch,
     kth_distinct_piecewise,
-    mode_multiplicity,
-    mode_value,
     scale_spectrum,
     slot_value_at,
     spectrum_with_multiplicity,
@@ -37,6 +35,7 @@ from bergerspec.berger import (
 from bergerspec.cli import main
 from bergerspec.page import page_slice
 from bergerspec.slices import cp2_slice
+from oracles import mode_multiplicity, mode_value
 
 
 def test_mode_validation():
@@ -429,7 +428,7 @@ def _midpoint_partition(pool, i, x_max):
             return None
         target = values[i - 1]
         winner = next(br for br in pool if br.value_at(mid) == target)
-        if cells and cells[-1].branch.same_line(winner):
+        if cells and (cells[-1].branch.A, cells[-1].branch.B) == (winner.A, winner.B):
             cells[-1] = PiecewiseCell(cells[-1].lo, hi, cells[-1].branch)
         else:
             cells.append(PiecewiseCell(lo, hi, winner))

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import io
 import json
 import math
 import re
@@ -10,8 +11,10 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from bergerspec.cli import build_parser, main
+from bergerspec.cli import _scan_grid, build_parser, main
 
 
 def run(capsys, *argv):
@@ -213,6 +216,31 @@ def test_index_page_scan(capsys):
     assert set(pattern) == {"1", "5"}
 
 
+def test_index_page_scan_reaches_the_float_below_pi(capsys):
+    # rmin + 79 * step rounded up to pi itself, which the Page family refuses
+    rmax = math.nextafter(math.pi, 0.0)
+    code, out, err = run(capsys, "index", "page", "--scan", "0.1", repr(rmax), "80", "--precision", "17")
+    assert (code, err) == (0, "")
+    _, rows = csv_rows(out)
+    assert (len(rows), float(rows[0]["r"]), float(rows[-1]["r"])) == (80, 0.1, rmax)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rmin=st.floats(min_value=1e-6, max_value=1e3),
+    rmax=st.floats(min_value=1e-6, max_value=1e3),
+    steps=st.integers(min_value=2, max_value=400),
+)
+@example(rmin=0.001, rmax=0.0095, steps=40)  # a benchmark scan that ended at 0.009500000000000001
+@example(rmin=0.1, rmax=math.nextafter(math.pi, 0.0), steps=80)
+def test_scan_grid_runs_from_rmin_to_rmax_exactly(rmin, rmax, steps):
+    assume(rmin < rmax)
+    grid = _scan_grid([rmin, rmax, float(steps)])
+    assert len(grid) == steps
+    assert (grid[0], grid[-1]) == (rmin, rmax)
+    assert all(rmin <= r <= rmax for r in grid)
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 def test_index_page_non_finite_tolerance(capsys, tol):
     code, out, err = run(capsys, "index", "page", "--roots", "--tol", tol)
@@ -380,6 +408,18 @@ def test_unwritable_output(capsys, tmp_path):
     )
     assert code == 3
     assert "x.csv" in err
+
+
+def test_a_failed_write_to_stdout_names_stdout(capsys, monkeypatch):
+    class Full(io.TextIOBase):
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    code = main(["sphere", "--dim", "3", "--kmax", "2"])
+    assert (code, capsys.readouterr().err) == (
+        3, "bergerspec: cannot write stdout: [Errno 28] No space left on device\n"
+    )
 
 
 def test_precision_flag(capsys):

@@ -246,6 +246,14 @@ def test_emit_refuses_cells_that_are_not_exactly_int_str_or_float(fmt, value):
         _emitted(([], ["c"], [(value,), (value,)]), fmt, 12)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_refused_table_leaves_no_output_file(tmp_path, fmt):
+    path = tmp_path / "table.out"
+    with pytest.raises(TypeError, match="holds cells of type"):
+        emit((["c"], ["n", "x"], [(1, 0.5), (2, None)]), OutputRequest(fmt, 12, str(path)))
+    assert not path.exists()
+
+
 def test_emit_writes_a_table_without_rows_as_its_header():
     table = (["no rows"], ["a", "b"], [])
     assert _emitted(table, "csv", 12) == "# no rows\na,b\n" == _former_emit(table, "csv", 12)

@@ -8,9 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bergerspec import slices
-from bergerspec.berger import Mode, _merge, distinct_spectrum_at, mode_multiplicity, tanno_lambda1
+from bergerspec.berger import Mode, _merge, distinct_spectrum_at, tanno_lambda1
 from bergerspec.jacobi import IndexNullityReport, index_nullity, jacobi_shift, jacobi_spectrum
-from bergerspec.page import page_constants, page_slice, page_transition_roots, page_x
+from bergerspec.page import page_constants, page_slice, page_transition_roots
 from bergerspec.slices import (
     SliceGeometry,
     cp2_index_nullity,
@@ -20,14 +20,14 @@ from bergerspec.slices import (
     find_root_bisection,
     slice_index_nullity,
     slice_spectrum,
-    synthetic_slice,
 )
+from oracles import mode_multiplicity, synthetic_slice, w2
 
 
 def test_cp2_slice_at_one():
     g = cp2_slice(1.0)
     assert g.f == pytest.approx(0.5, rel=1e-15)
-    assert g.w2 == pytest.approx(0.25, rel=1e-15)
+    assert w2(g) == pytest.approx(0.25, rel=1e-15)
     assert g.mu == pytest.approx(2 ** (-4 / 3), rel=1e-14)
     assert g.t == pytest.approx(2 ** (-1 / 3), rel=1e-14)
     assert g.x == pytest.approx(2.0, rel=1e-14)
@@ -184,29 +184,29 @@ def test_report_first_shifted_is_the_first_nonzero_value():
             assert rep.first_shifted == slice_spectrum(geom, 2)[1].value - shift
 
 
-def _composed_report(geom, depth, zero_tolerance=None, notes=()):
+def _composed_report(geom, depth, zero_tolerance=None):
     """slice_index_nullity as the composition of the public spectrum stages."""
     shift = jacobi_shift(geom.ambient)
     if zero_tolerance is None:
         zero_tolerance = 1e-9 * max(1.0, abs(shift))
     shifted = jacobi_spectrum(slice_spectrum(geom, depth), shift)
-    return index_nullity(shifted, zero_tolerance, parameter=geom.r, shift=shift, notes=notes)
+    return index_nullity(shifted, zero_tolerance, parameter=geom.r, shift=shift)
 
 
-def _assert_same_report(geom, depth, zero_tolerance=None, notes=()):
+def _assert_same_report(geom, depth, zero_tolerance=None):
     """The fast path's report equals the composed one; None when both raise the same ValueError."""
     try:
-        want = _composed_report(geom, depth, zero_tolerance, notes)
+        want = _composed_report(geom, depth, zero_tolerance)
     except ValueError as exc:
         with pytest.raises(ValueError) as raised:
-            slice_index_nullity(geom, depth, zero_tolerance, notes)
+            slice_index_nullity(geom, depth, zero_tolerance)
         assert str(raised.value) == str(exc)
         return None
     if want.truncation_bound <= want.zero_tolerance:
         with pytest.raises(ValueError, match="does not reach past the shift"):
-            slice_index_nullity(geom, depth, zero_tolerance, notes)
+            slice_index_nullity(geom, depth, zero_tolerance)
         return want
-    got = slice_index_nullity(geom, depth, zero_tolerance, notes)
+    got = slice_index_nullity(geom, depth, zero_tolerance)
     for name in IndexNullityReport._fields:
         assert getattr(got, name) == getattr(want, name), name
     assert repr(got) == repr(want)  # also tells -0.0 from 0.0
@@ -242,7 +242,7 @@ def test_slice_index_nullity_matches_the_composed_pipeline(family):
             geom = make(r)
         except ValueError:  # f underflows, or D^2 sin^2 r does, at the very ends of the range
             return
-        _assert_same_report(geom, depth, zero_tolerance, notes=("n",))
+        _assert_same_report(geom, depth, zero_tolerance)
 
     check()
 
@@ -259,7 +259,7 @@ def test_the_merge_gets_the_exact_x(family):
         except ValueError:  # f underflows, or D^2 sin^2 r does, at the very ends of the range
             return
         if family == "page":
-            assert geom.x == page_x(r, _PAGE)
+            assert geom.x == _PAGE.x(r)
         calls = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(slices, "_merge", lambda P, Q, count: calls.append((P, Q)) or _merge(P, Q, count))
