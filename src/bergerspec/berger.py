@@ -270,35 +270,6 @@ def spectrum_with_multiplicity(
     ]
 
 
-def _scaled_rows(
-    x: Fraction, scale: Fraction, count: int
-) -> list[tuple[float, list[tuple[int, int]]]]:
-    """(value, pairs) for each of the `count` smallest distinct values.
-
-    value is the float of scale * (A + B x) for a positive rational x, and
-    pairs lists the modes (k, q) attaining it in `_merge`'s order; the
-    caller builds only the cells it prints from them.  A value costs its
-    share of one integer merge plus one int division: no Fraction or Mode
-    is built per value.  With x = P/Q the merge yields numerators n over
-    Q, and value is the true division (scale.numerator * n) /
-    (scale.denominator * Q) of two ints.  That is correctly rounded, and
-    so is float(scale * Fraction(n, Q)); both round the same rational, so
-    value is bit-identical to the float of the exact product.  A value
-    past the float range raises OverflowError.
-    """
-    _check_count(count)
-    Q = x.denominator
-    num, den = scale.numerator, scale.denominator * Q
-    rows = []
-    for i, (n, pairs) in enumerate(_merge(x.numerator, Q, count)):
-        try:
-            value = num * n / den
-        except OverflowError:
-            raise OverflowError(f"eigenvalue n = {i} overflows a float") from None
-        rows.append((value, pairs))
-    return rows
-
-
 def branch_crossing(b1: AffineBranch, b2: AffineBranch) -> Fraction | None:
     """The unique x > 0 where the two branch lines meet, or None.
 

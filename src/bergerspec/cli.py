@@ -14,12 +14,14 @@ BERGERSPEC_PRECISION environment variable).  CSV comment lines start
 with '#'.  Exit status: 0 success, 2 usage or domain error, 3 structural
 error (for example a Page root count other than two).
 
-Each handler returns a table of comments, field names and rows, every
-row a tuple of cells in field order, and is the one place where exact
-values become text: it writes them as str.  So every column `emit` sees
-holds cells of one type, int, str or float; it writes int and str
+Each handler returns a table of comments, field names and columns, one
+column per field, all of one length.  A handler is the one place where
+exact values become text: it writes them as str.  So every column `emit`
+sees holds cells of one type, int, str or float; it writes int and str
 columns as they are, formats float columns to --precision digits, and
-refuses any other column with a TypeError.
+refuses any other column, or a table of any other shape, with a
+TypeError.  `handle_berger` builds its columns straight from the merge;
+the other handlers build rows and transpose them once.
 
 `main` can be called many times in one process.  The argument parser is
 built once per process, on the first call, and the packaged Page
@@ -42,9 +44,10 @@ from fractions import Fraction
 
 from .berger import (  # noqa: F401  (distinct_spectrum_at, eleven_slot_table, spectrum_with_multiplicity: bench/tracing.py wraps them here)
     _as_positive_fraction,
+    _check_count,
     _level_walk,
+    _merge,
     _Record,
-    _scaled_rows,
     _slot_curves,
     _total_multiplicity,
     distinct_spectrum_at,
@@ -85,28 +88,35 @@ class OutputRequest(_Record):
         self.__dict__.update(format=format, precision=precision, output=output)
 
 
-Row = tuple  # one cell per field name, in field order
-Table = tuple[list[str], list[str], list[Row]]  # comments, fieldnames, rows
+Table = tuple[list[str], list[str], list[list | tuple]]  # comments, fieldnames, columns
 
 
 def emit(table: Table, request: OutputRequest) -> None:
     """Write the table as CSV or JSON, converting it column by column.
 
-    Each column must hold cells of exactly one type.  A column of ints or
-    of strs is written as it is; a column of floats is formatted to
+    The table must hold one column per field, all of one length, and each
+    column must hold cells of exactly one type.  A column of ints or of
+    strs is written as it is; a column of floats is formatted to
     --precision significant digits, and JSON reads each text back with
-    `float`.  Any other column, bool or a subclass or mixed types
-    included, raises a TypeError naming the column and its cell types,
-    before the output is opened.  CSV is written straight to the output,
-    the rows in one `writerows` call; JSON is one `json.dumps` string.
+    `float`.  Any other shape raises a TypeError naming it, and any other
+    column, bool or a subclass or mixed types included, one naming the
+    column and its cell types, both before the output is opened.  CSV is
+    written straight to the output, the rows zipped from the columns in
+    one `writerows` call; JSON is one `json.dumps` string.
     """
-    comments, fields, rows = table
+    comments, fields, columns = table
+    lengths = [len(col) for col in columns]
+    if len(columns) != len(fields) or len(set(lengths)) > 1:
+        raise TypeError(
+            f"a table needs one column per field, all of one length: "
+            f"{len(fields)} fields, columns of lengths {lengths}"
+        )
     as_json = request.format == "json"
     real = f"{{:.{request.precision}g}}".format
     cols = []
-    for name, col in zip(fields, zip(*rows)):
+    for name, col in zip(fields, columns):
         kinds = set(map(type, col))
-        if kinds == {int} or kinds == {str}:
+        if kinds == {int} or kinds == {str} or not col:
             cols.append(col)
         elif kinds == {float}:
             texts = list(map(real, col))
@@ -135,18 +145,25 @@ def handle_sphere(args: argparse.Namespace) -> Table:
     """One row per degree 0..--kmax: the cost is proportional to the output."""
     rows = [(e.degree, e.eigenvalue, e.multiplicity) for e in sphere_spectrum(args.dim, args.kmax)]
     comments = [f"spectrum of the round {args.dim}-sphere through degree {args.kmax}"]
-    return comments, ["k", "eigenvalue", "multiplicity"], rows
+    return comments, ["k", "eigenvalue", "multiplicity"], list(zip(*rows))
 
 
 def handle_berger(args: argparse.Namespace) -> Table:
-    """The --count smallest distinct eigenvalues at --t or --epsilon, a row each.
+    """The --count smallest distinct eigenvalues at --t or --epsilon, as columns.
 
-    Each row holds n, the float of the exact value s (A + B x), the A and B
-    of the first mode attaining it as strings, and every such mode's label.
-    A row costs its share of one integer merge (`berger._scaled_rows`), so
-    the cost is proportional to the output, which grows faster than
-    --count: at t = 1 value n carries about n/2 modes, so --count c prints
-    about c^2/4 labels.
+    Value n has the float of the exact value s (A + B x), the A and B of
+    the first mode attaining it as strings, and every such mode's label.
+    The columns are built straight from one integer merge (`berger._merge`)
+    at x = P/Q: the merge yields numerators m over Q, and the value
+    s m / Q is the true division (s.numerator m) / (s.denominator Q) of
+    two ints, which is correctly rounded, so it is bit-identical to the
+    float of the exact eigenvalue.  A one-mode value's label is one
+    f-string.  The cost is proportional to the output, which grows faster
+    than --count: at x = 1 (t = 1 or epsilon = 1, the round sphere) value n
+    carries the modes (n, q) with q = n mod 2, ..., n, so --count c prints
+    about c^2/4 labels.  There the merge's closed form is written as text
+    directly, with no list of modes: the label of value n is one join over
+    its q, its first mode is (n, n mod 2) and its multiplicity (n+1)^2.
     """
     if (args.t is None) == (args.epsilon is None):
         raise ValueError("exactly one of --t and --epsilon is required")
@@ -163,25 +180,60 @@ def handle_berger(args: argparse.Namespace) -> Table:
             f"spectrum of sigma_1^2 + sigma_2^2 + eps^2 sigma_3^2 at eps = {eps} "
             f"(x = eps^-2 = {x})"
         ]
+    _check_count(args.count)
+    ks = range(args.count)
     fields = ["n", "value", "A", "B", "mode"]
+    if x == 1:
+        nums = [k * (k + 2) for k in ks]
+        qs = list(map(str, ks))  # the text of each q, made once
+        # the first mode (k, k & 1) has A = k(k+2) - (k & 1) and B = k & 1
+        columns = [
+            list(ks),
+            _values(nums, scale, 1),
+            [str(m - (k & 1)) for k, m in zip(ks, nums)],
+            [qs[k & 1] for k in ks],
+            [f"({k}," + f")+({k},".join(qs[k & 1 : k + 1 : 2]) + ")" for k in ks],
+        ]
+        if args.with_multiplicity:
+            fields.append("multiplicity")
+            columns.append([(k + 1) * (k + 1) for k in ks])
+        return comments, fields, columns
+    groups = _merge(x.numerator, x.denominator, args.count)
+    firsts = [pairs[0] for _, pairs in groups]
+    columns = [
+        list(ks),
+        _values([m for m, _ in groups], scale, x.denominator),
+        [str(k * (k + 2) - q * q) for k, q in firsts],
+        [str(q * q) for _, q in firsts],
+        [
+            f"({pairs[0][0]},{pairs[0][1]})"
+            if len(pairs) == 1
+            else "+".join([f"({k},{q})" for k, q in pairs])
+            for _, pairs in groups
+        ],
+    ]
     if args.with_multiplicity:
         fields.append("multiplicity")
+        columns.append([_total_multiplicity(pairs) for _, pairs in groups])
+    return comments, fields, columns
+
+
+def _values(nums: list[int], scale: Fraction, Q: int) -> list[float]:
+    """The floats of scale * m / Q for the numerators m, each correctly rounded.
+
+    Only a large --t overflows: the first --count values of A + B x stay
+    below about 4 count^2 for any x (the q = 0 modes do not depend on x).
+    """
+    num, den = scale.numerator, scale.denominator * Q
     try:
-        spectrum = _scaled_rows(x, scale, args.count)
-    except OverflowError as exc:
-        # only --t: the first --count values of A + B x stay below about
-        # 4 count^2 for any x (the q = 0 modes do not depend on x), so
-        # with s = 1 they fit a float and with s = t only a large t overflows
-        raise ValueError(f"--t is too large: {exc}") from None
-    rows = []
-    for i, (value, pairs) in enumerate(spectrum):
-        k, q = pairs[0]
-        label = "+".join([f"({mk},{mq})" for mk, mq in pairs])
-        row = (i, value, str(k * (k + 2) - q * q), str(q * q), label)
-        if args.with_multiplicity:
-            row = (*row, _total_multiplicity(pairs))
-        rows.append(row)
-    return comments, fields, rows
+        return [num * m / den for m in nums]
+    except OverflowError:
+        for n, m in enumerate(nums):  # name the first value that overflows
+            try:
+                num * m / den
+            except OverflowError:
+                raise ValueError(f"--t is too large: eigenvalue n = {n} overflows a float") from None
+        raise
 
 
 def handle_piecewise(args: argparse.Namespace) -> Table:
@@ -202,14 +254,14 @@ def handle_piecewise(args: argparse.Namespace) -> Table:
             "the ascending distinct-value order wherever curves have crossed",
         ]
     rows = [(*map(str, (c.lo, c.hi, c.branch.A, c.branch.B)), c.branch.label()) for c in cells]
-    return comments, ["lo", "hi", "A", "B", "mode"], rows
+    return comments, ["lo", "hi", "A", "B", "mode"], list(zip(*rows))
 
 
 def _page_setup(args: argparse.Namespace) -> PageConstants:
     return page_constants(path=args.page_config) if args.page_config else _default_constants()
 
 
-def _index_row(r: float, report: IndexNullityReport) -> Row:
+def _index_row(r: float, report: IndexNullityReport) -> tuple:
     return r, report.index, report.nullity, report.first_shifted, report.truncation_bound
 
 
@@ -229,7 +281,7 @@ def handle_index(args: argparse.Namespace) -> Table:
         comments = ["cp2 geodesic spheres, Jacobi shift 3/2"]
         radii = [args.r] if args.r is not None else _scan_grid(args.scan)
         rows = [_index_row(r, slice_index_nullity(cp2_slice(r), args.depth)) for r in radii]
-        return comments, fields, rows
+        return comments, fields, list(zip(*rows))
     consts = _page_setup(args)
     r1, r2 = page_transition_roots(args.tol, consts)
     comments = [
@@ -237,10 +289,10 @@ def handle_index(args: argparse.Namespace) -> Table:
         f"certified roots (tol {args.tol:g}): r1 = {r1!r}, r2 = {r2!r}",
     ]
     if args.roots:
-        return comments, ["root", "r"], [("r1", r1), ("r2", r2)]
+        return comments, ["root", "r"], [["r1", "r2"], [r1, r2]]
     radii = [args.r] if args.r is not None else _scan_grid(args.scan, upper=math.pi)
     rows = [_index_row(r, page_index_nullity(r, args.depth, constants=consts)) for r in radii]
-    return comments, fields, rows
+    return comments, fields, list(zip(*rows))
 
 
 def _scan_grid(scan: list[float], upper: float | None = None) -> list[float]:
@@ -272,13 +324,14 @@ def handle_plotdata(args: argparse.Namespace) -> Table:
         rows = []
         for k in range(10, 241):
             t = Fraction(k, 200)
-            spectrum = _scaled_rows(1 / t**3, t, 12)
-            rows.append((float(t), *[value for value, _ in spectrum[1:]]))
-        return comments, fields, rows
+            x = 1 / t**3
+            groups = _merge(x.numerator, x.denominator, 12)
+            rows.append((float(t), *_values([m for m, _ in groups[1:]], t, x.denominator)))
+        return comments, fields, list(zip(*rows))
     if args.figure == "fig2":
         comments = ["first Jacobi eigenvalue of the cp2 geodesic spheres: lambda_1(r) - 3/2"]
         rows = [(k / 100, cp2_lambda1(k / 100) - 1.5) for k in range(5, 601)]
-        return comments, ["r", "jacobi_lambda1"], rows
+        return comments, ["r", "jacobi_lambda1"], list(zip(*rows))
     consts = _page_setup(args)
     r1, r2 = page_transition_roots(1e-6, consts)
     comments = [
@@ -293,7 +346,7 @@ def handle_plotdata(args: argparse.Namespace) -> Table:
         shift = jacobi_shift(geom.ambient)
         shifted, _ = _shifted_spectrum(geom, 6, shift)
         rows.append((r, *shifted))
-    return comments, fields, rows
+    return comments, fields, list(zip(*rows))
 
 
 def _fraction(text: str) -> Fraction:

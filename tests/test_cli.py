@@ -1,11 +1,14 @@
 import argparse
+import contextlib
 import csv
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -544,6 +547,11 @@ def test_berger_value_overflow_is_a_domain_error(capsys):
     assert code == 2
     assert out == ""
     assert err == "bergerspec: --t is too large: eigenvalue n = 1 overflows a float\n"
+    # a late overflow names the first value past the float range
+    code, out, err = run(capsys, "berger", "--t", "1e307", "--count", "12")
+    assert code == 2
+    assert out == ""
+    assert err == "bergerspec: --t is too large: eigenvalue n = 11 overflows a float\n"
     # in range, each value is still the float nearest t (A + B t^-3)
     t = Fraction(10) ** 300
     code, out, _ = run(capsys, "berger", "--t", "1e300", "--count", "4", "--precision", "17")
@@ -552,6 +560,75 @@ def test_berger_value_overflow_is_a_domain_error(capsys):
     assert [(r["A"], r["B"]) for r in rows] == [("0", "0"), ("2", "1"), ("4", "4"), ("6", "9")]
     for r in rows:
         assert float(r["value"]) == float(t * (int(r["A"]) + int(r["B"]) / t**3))
+
+
+def _main_output(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _same_cell(value, text):
+    """A JSON cell against its CSV text: int as str(v), float as float(text), str as is."""
+    if type(value) is int:
+        return str(value) == text
+    if type(value) is float:
+        want = float(text)
+        return value == want or (math.isnan(value) and math.isnan(want))
+    return type(value) is str and value == text
+
+
+_BERGER_PARAM = st.one_of(
+    st.just("1"),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(1, 40), st.integers(1, 40)),
+    st.builds(lambda m, d: f"{m}e{d}", st.integers(1, 9999), st.integers(-8, 310)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    flag=st.sampled_from(["--t", "--epsilon"]),
+    param=_BERGER_PARAM,
+    count=st.integers(1, 150),
+    with_multiplicity=st.booleans(),
+)
+@example(flag="--t", param="1", count=90, with_multiplicity=True)
+@example(flag="--epsilon", param="1", count=33, with_multiplicity=False)
+@example(flag="--t", param="1e307", count=12, with_multiplicity=False)
+def test_berger_json_agrees_with_csv(flag, param, count, with_multiplicity):
+    argv = ["berger", flag, param, "--count", str(count)]
+    if with_multiplicity:
+        argv.append("--with-multiplicity")
+    code, out, err = _main_output(argv)
+    json_code, json_out, json_err = _main_output([*argv, "--format", "json"])
+    assert (code, err) == (json_code, json_err)
+    if code != 0:
+        assert out == json_out == ""
+        return
+    header, rows = csv_rows(out)
+    payload = json.loads(json_out)
+    assert len(payload) == len(rows) == count
+    for row, obj in zip(rows, payload):
+        assert list(obj) == header
+        assert all(_same_cell(v, row[k]) for k, v in obj.items()), (row, obj)
+
+
+def test_berger_round_sphere_peak_memory_is_bounded_by_its_output():
+    # at t = 1 the columns are the output's text and little more: no mode
+    # list per value and no row tuples are held while the table is written
+    argv = ["berger", "--t", "1", "--count", "1200"]
+    code, out, _ = _main_output(argv)
+    assert code == 0
+    csv_bytes = len(out.encode())
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--output", os.devnull])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 3 * csv_bytes, (peak, csv_bytes)
 
 
 @pytest.mark.parametrize("value", ["1/0", "abc"])

@@ -1,12 +1,15 @@
-"""The single-pass berger and plotdata rows against the row building they replaced.
+"""The berger and plotdata columns against the row building they replaced.
 
 The references below are the handlers' former code: Fraction values,
 Mode objects and SpectrumEntry rows from the public spectrum functions.
+A table holds one column per field, so its rows are the columns zipped.
 Every row must agree with `==`, and so must the emitted CSV and JSON.
 Every handler's table holds columns of one cell type each, int, str or
 float, and `emit` is checked byte for byte against its former dict-row
 loop on such tables: from every handler, of unusual cells, and
-generated.  A column of any other type, or of mixed types, is refused.
+generated.  A column of any other type, or of mixed types, is refused,
+and so is a table whose columns do not match its fields in number or
+length.
 """
 
 import contextlib
@@ -64,6 +67,16 @@ def _exact_as_str(row):
     return (*row[:2], str(row[2]), str(row[3]), *row[4:])
 
 
+def _rows(table):
+    """The rows of a table: its columns zipped."""
+    return list(zip(*table[2]))
+
+
+def _columns(rows, width):
+    """The columns of `width` fields that hold these rows."""
+    return [[row[j] for row in rows] for j in range(width)]
+
+
 def _emitted(table, fmt, precision):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -72,8 +85,8 @@ def _emitted(table, fmt, precision):
 
 
 def _assert_same_output(table, reference_rows):
-    comments, fields, rows = table
-    reference = (comments, fields, reference_rows)
+    comments, fields, _ = table
+    reference = (comments, fields, _columns(reference_rows, len(fields)))
     for fmt in ("csv", "json"):
         for precision in (12, 17):
             assert _emitted(table, fmt, precision) == _emitted(reference, fmt, precision)
@@ -98,8 +111,10 @@ def test_berger_rows_match_the_fraction_pipeline(flag, param, count, with_multip
     args = build_parser().parse_args(argv)
     table = handle_berger(args)
     reference = _reference_berger_rows(args)
-    assert len(table[2]) == len(reference) == count
-    for row, ref in zip(table[2], reference):
+    assert len(table[2]) == len(table[1])
+    assert [len(col) for col in table[2]] == [count] * len(table[1])
+    assert len(reference) == count
+    for row, ref in zip(_rows(table), reference):
         # A and B are exact columns: compared as the strings they serialize to
         assert _exact_as_str(row) == _exact_as_str(ref)
     _assert_same_output(table, list(map(_exact_as_str, reference)))
@@ -110,8 +125,21 @@ def test_berger_rows_match_where_many_modes_tie():
     for argv, most in ((["--t", "1"], 60), (["--t", "1/2"], 2), (["--epsilon", "1/2"], 2)):
         args = build_parser().parse_args(["berger", *argv, "--count", "120", "--with-multiplicity"])
         table = handle_berger(args)
-        assert max(len(row[4].split("+")) for row in table[2]) == most
+        assert max(len(label.split("+")) for label in table[2][4]) == most
         _assert_same_output(table, list(map(_exact_as_str, _reference_berger_rows(args))))
+
+
+@pytest.mark.parametrize("flag", ["--t", "--epsilon"])
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 7, 60, 201])
+def test_berger_at_x_one_matches_the_fraction_pipeline(flag, count):
+    # x = 1 (t = 1 or epsilon = 1) writes the merge's closed form as text
+    for extra in ([], ["--with-multiplicity"]):
+        args = build_parser().parse_args(["berger", flag, "1", "--count", str(count), *extra])
+        table = handle_berger(args)
+        reference = list(map(_exact_as_str, _reference_berger_rows(args)))
+        assert [len(col) for col in table[2]] == [count] * len(table[1])
+        assert list(map(_exact_as_str, _rows(table))) == reference
+        _assert_same_output(table, reference)
 
 
 def test_plotdata_fig1_rows_match_distinct_spectrum_at():
@@ -121,7 +149,7 @@ def test_plotdata_fig1_rows_match_distinct_spectrum_at():
         t = Fraction(k, 200)
         values = [v for v, _ in distinct_spectrum_at(1 / t**3, 12)][1:]
         reference.append((float(t), *[float(t * v) for v in values]))
-    assert table[2] == reference
+    assert _rows(table) == reference
     _assert_same_output(table, reference)
 
 
@@ -133,7 +161,7 @@ def test_plotdata_fig3_rows_match_slice_spectrum():
         geom = page_slice(r, _default_constants())
         shift = jacobi_shift(geom.ambient)
         reference.append((r, *[e.value - shift for e in slice_spectrum(geom, 6)]))
-    assert table[2] == reference
+    assert _rows(table) == reference
     _assert_same_output(table, reference)
 
 
@@ -149,11 +177,14 @@ class _Int(int):
 @pytest.mark.parametrize("value", [True, False])
 def test_emit_rejects_boolean_cells_in_both_formats(fmt, value):
     with pytest.raises(TypeError, match=r"column 'x' holds cells of type \['bool'\]"):
-        _emitted(([], ["x"], [(value,)]), fmt, 12)
+        _emitted(([], ["x"], [[value]]), fmt, 12)
 
 
 def _former_emit(table, fmt, precision):
-    """emit as it was with dict rows: a writerow and a cell call per cell."""
+    """emit as it was with dict rows: a writerow and a cell call per cell.
+
+    It took the table as rows; the columns are zipped into them here.
+    """
 
     def cell(value):
         if isinstance(value, float):
@@ -171,8 +202,8 @@ def _former_emit(table, fmt, precision):
             return float(f"{value:.{precision}g}")
         return str(value)
 
-    comments, fields, tuple_rows = table
-    rows = [dict(zip(fields, row, strict=True)) for row in tuple_rows]
+    comments, fields, columns = table
+    rows = [dict(zip(fields, row, strict=True)) for row in zip(*columns, strict=True)]
     if fmt == "json":
         payload = [{k: json_cell(row[k]) for k in fields} for row in rows]
         return json.dumps(payload, indent=2) + "\n"
@@ -190,6 +221,7 @@ _HANDLER_ARGV = [
     ["sphere", "--dim", "3", "--kmax", "12"],
     ["berger", "--t", "1.41", "--count", "200"],
     ["berger", "--t", "1", "--count", "60", "--with-multiplicity"],
+    ["berger", "--epsilon", "1", "--count", "40", "--with-multiplicity"],
     ["berger", "--epsilon", "3/7", "--count", "80", "--with-multiplicity"],
     ["piecewise", "--index", "7", "--xmax", "20"],
     ["piecewise", "--slot", "5"],
@@ -205,9 +237,10 @@ _HANDLER_ARGV = [
 @pytest.mark.parametrize("argv", _HANDLER_ARGV, ids=" ".join)
 def test_every_handler_column_holds_one_of_int_str_float(argv):
     args = build_parser().parse_args(argv)
-    _, fields, rows = getattr(cli, f"handle_{args.command}")(args)
-    assert rows and all(len(row) == len(fields) for row in rows)
-    for name, col in zip(fields, zip(*rows)):
+    _, fields, columns = getattr(cli, f"handle_{args.command}")(args)
+    assert len(columns) == len(fields)
+    assert columns[0] and all(len(col) == len(columns[0]) for col in columns)
+    for name, col in zip(fields, columns):
         kinds = set(map(type, col))
         assert len(kinds) == 1 and kinds <= {int, str, float}, (name, kinds)
 
@@ -231,7 +264,7 @@ def test_emit_matches_the_former_dict_row_emit_on_unusual_cells():
         (1e-310, 7, "(1,1)"),
         (float("nan"), 0, "None"),
     ]
-    table = (["a comment, with a comma"], fields, rows)
+    table = (["a comment, with a comma"], fields, _columns(rows, len(fields)))
     for fmt in ("csv", "json"):
         for precision in (1, 12, 17):
             assert _emitted(table, fmt, precision) == _former_emit(table, fmt, precision)
@@ -243,28 +276,49 @@ def test_emit_refuses_cells_that_are_not_exactly_int_str_or_float(fmt, value):
     # a handler writes exact values such as Fractions as str itself
     message = f"column 'c' holds cells of type ['{type(value).__name__}']"
     with pytest.raises(TypeError, match=re.escape(message)):
-        _emitted(([], ["c"], [(value,), (value,)]), fmt, 12)
+        _emitted(([], ["c"], [[value, value]]), fmt, 12)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_a_refused_table_leaves_no_output_file(tmp_path, fmt):
     path = tmp_path / "table.out"
     with pytest.raises(TypeError, match="holds cells of type"):
-        emit((["c"], ["n", "x"], [(1, 0.5), (2, None)]), OutputRequest(fmt, 12, str(path)))
+        emit((["c"], ["n", "x"], [[1, 2], [0.5, None]]), OutputRequest(fmt, 12, str(path)))
+    assert not path.exists()
+
+
+_MALFORMED = [
+    (["a", "b"], [(1, 2), (3,)], r"2 fields, columns of lengths \[2, 1\]"),
+    (["a", "b"], [[1, 2]], r"2 fields, columns of lengths \[2\]"),
+    (["a"], [[1], [2]], r"1 fields, columns of lengths \[1, 1\]"),
+    (["a", "b"], [], r"2 fields, columns of lengths \[\]"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("fields, columns, message", _MALFORMED)
+def test_emit_refuses_a_table_of_the_wrong_shape(tmp_path, fmt, fields, columns, message):
+    # columns that do not match the fields in number or length would be
+    # cut short by zip; the table is refused before the output is opened
+    with pytest.raises(TypeError, match=message):
+        _emitted((["c"], fields, columns), fmt, 12)
+    path = tmp_path / "table.out"
+    with pytest.raises(TypeError, match=message):
+        emit((["c"], fields, columns), OutputRequest(fmt, 12, str(path)))
     assert not path.exists()
 
 
 def test_emit_writes_a_table_without_rows_as_its_header():
-    table = (["no rows"], ["a", "b"], [])
+    table = (["no rows"], ["a", "b"], [[], []])
     assert _emitted(table, "csv", 12) == "# no rows\na,b\n" == _former_emit(table, "csv", 12)
     assert _emitted(table, "json", 12) == "[]\n" == _former_emit(table, "json", 12)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_emit_rejects_a_boolean_inside_an_int_column(fmt):
-    rows = [(1, 0.5), (True, 1.5), (3, 2.5)]
+    columns = [[1, True, 3], [0.5, 1.5, 2.5]]
     with pytest.raises(TypeError, match=r"column 'n' holds cells of type \['bool', 'int'\]"):
-        _emitted(([], ["n", "x"], rows), fmt, 12)
+        _emitted(([], ["n", "x"], columns), fmt, 12)
 
 
 _CELLS = {
@@ -293,7 +347,7 @@ def _mixed_tables(draw):
         cell = st.one_of([_CELLS[kind] for kind in kinds])
         columns.append(draw(st.lists(cell, min_size=n_rows, max_size=n_rows)))
     fields = [f"c{j}" for j in range(len(columns))]
-    return ["generated"], fields, list(zip(*columns))
+    return ["generated"], fields, columns
 
 
 @settings(max_examples=300, deadline=None)
@@ -303,30 +357,32 @@ def _mixed_tables(draw):
         [],
         ["float", "int", "text"],
         [
-            (float("nan"), 7, "a,b"),
-            (float("inf"), -2, 'say "hi"\n'),
-            (float("-inf"), 10**30, ""),
+            [float("nan"), float("inf"), float("-inf")],
+            [7, -2, 10**30],
+            ["a,b", 'say "hi"\n', ""],
         ],
     )
 )
-@example(table=([], ["n", "int_text"], [(1, 7), (2, "a,b")]))
+@example(table=([], ["n", "int_text"], [[1, 2], [7, "a,b"]]))
 @example(
     table=(
         [],
         ["float_nan", "float_none", "int_sub", "int_text", "fraction_float"],
         [
-            (float("nan"), 0.25, 7, 7, Fraction(1, 3)),
-            (float("inf"), None, _Int(-2), "a,b", 2 / 3),
-            (_Float(float("-inf")), 1e-310, 10**30, 'say "hi"\n', Fraction(-5)),
+            [float("nan"), float("inf"), _Float(float("-inf"))],
+            [0.25, None, 1e-310],
+            [7, _Int(-2), 10**30],
+            [7, "a,b", 'say "hi"\n'],
+            [Fraction(1, 3), 2 / 3, Fraction(-5)],
         ],
     )
 )
 def test_emit_matches_the_former_dict_row_emit_on_mixed_columns(table):
     # where every column holds exactly one of int, str and float, the bytes
     # are the former emit's; any other column is refused in both formats
-    _, _, rows = table
-    one_type = all(len(set(map(type, col))) == 1 for col in zip(*rows))
-    if one_type and {type(cell) for row in rows for cell in row} <= {int, str, float}:
+    _, _, columns = table
+    one_type = all(len(set(map(type, col))) <= 1 for col in columns)
+    if one_type and {type(cell) for col in columns for cell in col} <= {int, str, float}:
         for fmt in ("csv", "json"):
             for precision in (1, 12, 17):
                 assert _emitted(table, fmt, precision) == _former_emit(table, fmt, precision)
