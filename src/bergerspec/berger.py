@@ -202,7 +202,7 @@ def _merge(P: int, Q: int, count: int) -> list[tuple[int, list[tuple[int, int]]]
     The values are a k-way heap merge, in integers, of one sorted stream
     of modes per k; a mode returned costs one heap sift, logarithmic in
     the number of open streams, and one integer add.  At P = Q the result
-    is in closed form.
+    is in closed form, which `_round_columns` writes as text.
     """
     if P == Q:
         return [
@@ -239,6 +239,28 @@ def _merge(P: int, Q: int, count: int) -> list[tuple[int, list[tuple[int, int]]]
             heapreplace(heap, first)
         else:
             heappop(heap)
+
+
+def _round_columns(count: int) -> tuple[list[int], list[str], list[str], list[str], list[int]]:
+    """`_merge(1, 1, count)` as columns: numerators, A, B, labels, multiplicities.
+
+    At x = 1 value k is k(k+2), attained by the modes (k, q) for q = k mod 2,
+    ..., k ascending, as in `_merge`'s P == Q branch.  Its first mode
+    (k, k mod 2) has A = k(k+2) - (k mod 2) and B = k mod 2, and its modes
+    sum to the multiplicity (k+1)^2 by `_total_multiplicity`'s rule.  No
+    mode is built: one list of the texts of 0..count-1 serves every label,
+    so a label costs one join over a slice of it.
+    """
+    ks = range(count)
+    nums = [k * (k + 2) for k in ks]
+    qs = list(map(str, ks))
+    return (
+        nums,
+        [str(m - (k & 1)) for k, m in zip(ks, nums)],
+        [qs[k & 1] for k in ks],
+        [f"({k}," + f")+({k},".join(qs[k & 1 : k + 1 : 2]) + ")" for k in ks],
+        [(k + 1) * (k + 1) for k in ks],
+    )
 
 
 def distinct_spectrum_at(

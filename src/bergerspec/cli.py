@@ -48,6 +48,7 @@ from .berger import (  # noqa: F401  (distinct_spectrum_at, eleven_slot_table, s
     _level_walk,
     _merge,
     _Record,
+    _round_columns,
     _slot_curves,
     _total_multiplicity,
     distinct_spectrum_at,
@@ -157,13 +158,12 @@ def handle_berger(args: argparse.Namespace) -> Table:
     at x = P/Q: the merge yields numerators m over Q, and the value
     s m / Q is the true division (s.numerator m) / (s.denominator Q) of
     two ints, which is correctly rounded, so it is bit-identical to the
-    float of the exact eigenvalue.  A one-mode value's label is one
-    f-string.  The cost is proportional to the output, which grows faster
-    than --count: at x = 1 (t = 1 or epsilon = 1, the round sphere) value n
-    carries the modes (n, q) with q = n mod 2, ..., n, so --count c prints
-    about c^2/4 labels.  There the merge's closed form is written as text
-    directly, with no list of modes: the label of value n is one join over
-    its q, its first mode is (n, n mod 2) and its multiplicity (n+1)^2.
+    float of the exact eigenvalue.  The cost is proportional to the
+    output, which grows faster than --count: at x = 1 (t = 1 or
+    epsilon = 1, the round sphere) value n carries the modes (n, q) with
+    q = n mod 2, ..., n, so --count c prints about c^2/4 labels.  There
+    the merge's closed form is taken as text (`berger._round_columns`),
+    with no list of modes.
     """
     if (args.t is None) == (args.epsilon is None):
         raise ValueError("exactly one of --t and --epsilon is required")
@@ -181,40 +181,28 @@ def handle_berger(args: argparse.Namespace) -> Table:
             f"(x = eps^-2 = {x})"
         ]
     _check_count(args.count)
-    ks = range(args.count)
-    fields = ["n", "value", "A", "B", "mode"]
     if x == 1:
-        nums = [k * (k + 2) for k in ks]
-        qs = list(map(str, ks))  # the text of each q, made once
-        # the first mode (k, k & 1) has A = k(k+2) - (k & 1) and B = k & 1
-        columns = [
-            list(ks),
-            _values(nums, scale, 1),
-            [str(m - (k & 1)) for k, m in zip(ks, nums)],
-            [qs[k & 1] for k in ks],
-            [f"({k}," + f")+({k},".join(qs[k & 1 : k + 1 : 2]) + ")" for k in ks],
-        ]
-        if args.with_multiplicity:
-            fields.append("multiplicity")
-            columns.append([(k + 1) * (k + 1) for k in ks])
-        return comments, fields, columns
-    groups = _merge(x.numerator, x.denominator, args.count)
-    firsts = [pairs[0] for _, pairs in groups]
-    columns = [
-        list(ks),
-        _values([m for m, _ in groups], scale, x.denominator),
-        [str(k * (k + 2) - q * q) for k, q in firsts],
-        [str(q * q) for _, q in firsts],
-        [
+        nums, A, B, labels, multiplicities = _round_columns(args.count)
+    else:
+        groups = _merge(x.numerator, x.denominator, args.count)
+        nums = [m for m, _ in groups]
+        firsts = [pairs[0] for _, pairs in groups]
+        A = [str(k * (k + 2) - q * q) for k, q in firsts]
+        B = [str(q * q) for _, q in firsts]
+        # a one-mode label is one f-string, about half the cost of a join over one pair
+        labels = [
             f"({pairs[0][0]},{pairs[0][1]})"
             if len(pairs) == 1
             else "+".join([f"({k},{q})" for k, q in pairs])
             for _, pairs in groups
-        ],
-    ]
+        ]
+        if args.with_multiplicity:
+            multiplicities = [_total_multiplicity(pairs) for _, pairs in groups]
+    fields = ["n", "value", "A", "B", "mode"]
+    columns = [list(range(args.count)), _values(nums, scale, x.denominator), A, B, labels]
     if args.with_multiplicity:
         fields.append("multiplicity")
-        columns.append([_total_multiplicity(pairs) for _, pairs in groups])
+        columns.append(multiplicities)
     return comments, fields, columns
 
 
@@ -225,15 +213,13 @@ def _values(nums: list[int], scale: Fraction, Q: int) -> list[float]:
     below about 4 count^2 for any x (the q = 0 modes do not depend on x).
     """
     num, den = scale.numerator, scale.denominator * Q
-    try:
-        return [num * m / den for m in nums]
-    except OverflowError:
-        for n, m in enumerate(nums):  # name the first value that overflows
-            try:
-                num * m / den
-            except OverflowError:
-                raise ValueError(f"--t is too large: eigenvalue n = {n} overflows a float") from None
-        raise
+    values = []
+    for n, m in enumerate(nums):
+        try:
+            values.append(num * m / den)
+        except OverflowError:
+            raise ValueError(f"--t is too large: eigenvalue n = {n} overflows a float") from None
+    return values
 
 
 def handle_piecewise(args: argparse.Namespace) -> Table:

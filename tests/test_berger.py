@@ -311,6 +311,19 @@ def test_merge_of_unreduced_pair_scales_the_reduced_one(P, Q, c, count):
     assert berger._merge(c * P, c * Q, count) == want
 
 
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 7, 60, 201])
+def test_round_columns_are_the_merge_at_one_as_text(count):
+    groups = berger._merge(1, 1, count)
+    want = (
+        [m for m, _ in groups],
+        [str(k * (k + 2) - q * q) for (k, q), *_ in (pairs for _, pairs in groups)],
+        [str(q * q) for (_, q), *_ in (pairs for _, pairs in groups)],
+        ["+".join(f"({k},{q})" for k, q in pairs) for _, pairs in groups],
+        [berger._total_multiplicity(pairs) for _, pairs in groups],
+    )
+    assert berger._round_columns(count) == want
+
+
 BREAKPOINTS = [
     (gamma_branch(1), beta_branch(2), Fraction(6)),
     (gamma_branch(2), beta_branch(2), Fraction(1)),
