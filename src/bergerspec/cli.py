@@ -23,6 +23,15 @@ refuses any other column, or a table of any other shape, with a
 TypeError.  `handle_berger` builds its columns straight from the merge;
 the other handlers build rows and transpose them once.
 
+`emit` makes every check and formats every float before it opens the
+output, so a refused table writes nothing: its error comes before the
+first byte.  It then writes the rows in chunks of 64.  As CSV a chunk
+is its columns' slices joined into lines.  A str cell is quoted by one
+rule: a cell holding ',', '"', CR or LF is wrapped in '"' with inner
+'"' doubled, and a row that is one empty field is written '""'.  As
+JSON a chunk is one `json.dumps` of its rows, and the chunks together
+are the bytes of one `json.dumps` of the table.
+
 `main` can be called many times in one process.  The argument parser is
 built once per process, on the first call, and the packaged Page
 constants are read and validated once, on the first request that needs
@@ -34,7 +43,6 @@ the same rule; each page request makes one bisection to its --tol.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import math
 import os
@@ -78,6 +86,7 @@ from .spheres import sphere_spectrum
 
 PRECISION_ENV = "BERGERSPEC_PRECISION"
 MAX_PRECISION = 30
+_CHUNK = 64  # rows per write in `emit`
 
 
 class OutputRequest(_Record):
@@ -96,14 +105,21 @@ def emit(table: Table, request: OutputRequest) -> None:
     """Write the table as CSV or JSON, converting it column by column.
 
     The table must hold one column per field, all of one length, and each
-    column must hold cells of exactly one type.  A column of ints or of
-    strs is written as it is; a column of floats is formatted to
-    --precision significant digits, and JSON reads each text back with
-    `float`.  Any other shape raises a TypeError naming it, and any other
-    column, bool or a subclass or mixed types included, one naming the
-    column and its cell types, both before the output is opened.  CSV is
-    written straight to the output, the rows zipped from the columns in
-    one `writerows` call; JSON is one `json.dumps` string.
+    column must hold cells of exactly one type.  A column of strs is
+    written as it is and a column of ints as their `str`; a column of
+    floats is formatted to --precision significant digits, and JSON reads
+    each text back with `float`.  Any other shape raises a TypeError
+    naming it, and any other column, bool or a subclass or mixed types
+    included, one naming the column and its cell types.  These checks, the
+    float formatting and, for CSV, the int texts all come before the output
+    is opened, so a refused table writes no byte.
+
+    Rows are written in chunks of `_CHUNK` rows, so the text held beside
+    the table is a few copies of one chunk's, not the whole output.  A CSV chunk is its columns' slices, quoted
+    by `_csv_fields` and joined, in one write.  A JSON chunk is
+    `json.dumps` of its rows as dicts, less the brackets; the chunks
+    joined with ",\n" inside "[\n" ... "\n]\n" are the bytes of one
+    `json.dumps` of the whole table, and a table without rows is "[]\n".
     """
     comments, fields, columns = table
     lengths = [len(col) for col in columns]
@@ -114,32 +130,77 @@ def emit(table: Table, request: OutputRequest) -> None:
         )
     as_json = request.format == "json"
     real = f"{{:.{request.precision}g}}".format
-    cols = []
+    cols, strs = [], []  # strs: the positions of str columns, the only cells CSV may quote
     for name, col in zip(fields, columns):
         kinds = set(map(type, col))
-        if kinds == {int} or kinds == {str} or not col:
+        kind = kinds.pop() if len(kinds) == 1 else None  # cheaper than `kinds == {str}`
+        if kind is str or not col:
+            strs.append(len(cols))
             cols.append(col)
-        elif kinds == {float}:
+        elif kind is int:
+            cols.append(col if as_json else list(map(str, col)))
+        elif kind is float:
             texts = list(map(real, col))
             cols.append(list(map(float, texts)) if as_json else texts)
         else:
-            raise TypeError(f"column {name!r} holds cells of type {sorted(k.__name__ for k in kinds)}")
+            raise TypeError(f"column {name!r} holds cells of type {sorted({type(c).__name__ for c in col})}")
     if as_json:
         import json  # only here: CSV requests do not pay for it
-
-        text = json.dumps([dict(zip(fields, row)) for row in zip(*cols)], indent=2) + "\n"
+    rows = lengths[0] if lengths else 0
     out = sys.stdout if request.output is None else open(request.output, "w")
     try:
         if as_json:
-            out.write(text)
+            for lo in range(0, rows, _CHUNK):
+                chunk = zip(*_chunk(cols, lo, rows))
+                out.write(",\n" if lo else "[\n")
+                out.write(json.dumps([dict(zip(fields, row)) for row in chunk], indent=2)[2:-2])
+            out.write("\n]\n" if rows else "[]\n")
         else:
-            out.writelines(f"# {c}\n" for c in comments)
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(fields)
-            writer.writerows(zip(*cols))
+            for c in comments:
+                out.write(f"# {c}\n")
+            alone = len(fields) == 1
+            out.write(",".join(_csv_fields(fields, alone)) + "\n")
+            for lo in range(0, rows, _CHUNK):
+                texts = _chunk(cols, lo, rows)
+                for j in strs:
+                    texts[j] = _csv_fields(texts[j], alone)
+                out.write("\n".join(map(",".join, zip(*texts))) + "\n")
     finally:
         if out is not sys.stdout:
             out.close()
+
+
+def _chunk(cols: list, lo: int, rows: int) -> list:
+    """Rows lo to lo + _CHUNK of the columns, as a new list of columns.
+
+    A table of one chunk keeps its columns: for a table of a few rows,
+    slicing every column would cost about as much as the rest of its write.
+    """
+    return [col[lo : lo + _CHUNK] for col in cols] if rows > _CHUNK else list(cols)
+
+
+def _csv_fields(cells: list[str], alone: bool) -> list[str]:
+    """The cells as CSV fields of one column: the rule of RFC 4180.
+
+    A cell holding ',', '"', CR or LF is wrapped in '"', with every inner
+    '"' doubled, and so is an empty cell that is the whole row (`alone`),
+    which would otherwise read as no field.  This is what `csv.writer`
+    with lineterminator="\n" writes, except that it leaves a CR bare
+    before Python 3.13; no handler writes a CR.  The cells are joined once
+    and the join is searched, so a column of numbers, fractions or plain
+    words is passed through, and where only ',' occurs (mode labels) just
+    the cells holding one are wrapped.
+    """
+    joined = "".join(cells)
+    if '"' in joined or "\r" in joined or "\n" in joined:
+        cells = [
+            '"' + c.replace('"', '""') + '"' if any(ch in c for ch in ',"\r\n') else c for c in cells
+        ]
+    elif "," in joined:
+        cells = [f'"{c}"' if "," in c else c for c in cells]
+    if alone and not all(cells):
+        cells = [c or '""' for c in cells]
+    return cells
 
 
 def handle_sphere(args: argparse.Namespace) -> Table:

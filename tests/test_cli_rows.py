@@ -6,10 +6,11 @@ A table holds one column per field, so its rows are the columns zipped.
 Every row must agree with `==`, and so must the emitted CSV and JSON.
 Every handler's table holds columns of one cell type each, int, str or
 float, and `emit` is checked byte for byte against its former dict-row
-loop on such tables: from every handler, of unusual cells, and
-generated.  A column of any other type, or of mixed types, is refused,
-and so is a table whose columns do not match its fields in number or
-length.
+loop, whose CSV is `csv.writer`'s, on such tables: from every handler,
+of unusual cells, generated, and of as many rows as put a row at each
+side of a chunk boundary.  A column of any other type, or of mixed
+types, is refused, and so is a table whose columns do not match its
+fields in number or length.
 """
 
 import contextlib
@@ -312,6 +313,67 @@ def test_emit_writes_a_table_without_rows_as_its_header():
     table = (["no rows"], ["a", "b"], [[], []])
     assert _emitted(table, "csv", 12) == "# no rows\na,b\n" == _former_emit(table, "csv", 12)
     assert _emitted(table, "json", 12) == "[]\n" == _former_emit(table, "json", 12)
+
+
+def _boundary_tables(n_rows):
+    """Tables of n_rows rows whose str cells need no quoting in the first
+    chunk, hold ',' in every other row of the second and '"' or LF in
+    every other row from the third on, so each chunk takes another branch
+    of the quoting rule.  Every row carries its number."""
+    chunk = cli._CHUNK
+    special = ["", "a,b", 'say "hi"', "two\nlines", 'x,"y"']
+    mixed = [
+        f"w{n}" if n < chunk or n % 2 else f"({n},1)" if n < 2 * chunk else f"{special[n % 5]}{n}"
+        for n in range(n_rows)
+    ]
+    wide = (
+        ["a comment, with a comma"],
+        ["n", "value", "plain", "label", "mixed"],
+        [
+            list(range(n_rows)),
+            [n / 7 for n in range(n_rows)],
+            [f"{n}/3" for n in range(n_rows)],
+            [f"({n},{n % 2})+({n},2)" for n in range(n_rows)],
+            mixed,
+        ],
+    )
+    # one column: an empty cell is a row of one empty field
+    narrow = ([], ["only"], [["" if n % 3 == 0 else cell for n, cell in enumerate(mixed)]])
+    return wide, narrow
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, cli._CHUNK - 1, cli._CHUNK, cli._CHUNK + 1, 2 * cli._CHUNK + 1])
+def test_emit_matches_the_former_emit_at_chunk_boundaries(n_rows):
+    # csv.writer and one json.dumps are the oracle: a row lost, doubled or
+    # left unterminated where one chunk ends and the next begins changes
+    # the bytes
+    for table in _boundary_tables(n_rows):
+        for fmt in ("csv", "json"):
+            assert _emitted(table, fmt, 17) == _former_emit(table, fmt, 17)
+
+
+@pytest.mark.parametrize(
+    "fields, columns, text",
+    [
+        (["only"], [["", "a", ""]], 'only\n""\na\n""\n'),  # a row of one empty field
+        ([""], [[]], '""\n'),  # a header of one empty field, and no rows
+        (["a", "b"], [["", ""], ["", "x"]], "a,b\n,\n,x\n"),  # empty fields beside others stay bare
+        (["a"], [["x,y", "p"]], 'a\n"x,y"\np\n'),
+        (["a"], [["x,y", 'q"', "p"]], 'a\n"x,y"\n"q"""\np\n'),
+    ],
+)
+def test_emit_quotes_by_the_csv_writer_rule(fields, columns, text):
+    table = ([], fields, columns)
+    assert _emitted(table, "csv", 12) == text == _former_emit(table, "csv", 12)
+
+
+def test_emit_quotes_a_carriage_return():
+    # RFC 4180 and csv.writer from Python 3.13 on quote a cell holding CR;
+    # before 3.13, csv.writer with lineterminator="\n" leaves it bare.  No
+    # handler writes a CR, so only this table tells the two apart
+    table = ([], ["a", "b", "c"], [["x\ry", "plain"], ['q"\r', "p"], [1, 2]])
+    assert _emitted(table, "csv", 12) == 'a,b,c\n"x\ry","q""\r",1\nplain,p,2\n'
+    assert json.loads(_emitted(table, "json", 12))[0] == {"a": "x\ry", "b": 'q"\r', "c": 1}
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
