@@ -166,13 +166,6 @@ def _total_multiplicity(pairs: list[tuple[int, int]]) -> int:
     return total
 
 
-def enumerate_modes(k_max: int) -> list[Mode]:
-    """All valid modes with k <= k_max, including (0, 0)."""
-    if k_max < 0:
-        raise ValueError(f"k_max must be non-negative, got {k_max!r}")
-    return [_known_mode(k, q) for k in range(k_max + 1) for q in range(k % 2, k + 1, 2)]
-
-
 def _as_positive_fraction(x: int | Fraction | str, name: str) -> Fraction:
     try:
         value = Fraction(x)
@@ -315,45 +308,87 @@ class PiecewiseCell(_Record):
         self.__dict__.update(lo=lo, hi=hi, branch=branch)
 
 
+def _walk_lines(
+    lines: list[tuple[int, int]], i: int, x_max: Fraction
+) -> list[tuple[Fraction, Fraction, int]] | None:
+    """The i-th level of the distinct lines A + B*x, given as (A, B), on (0, x_max].
+
+    Returns its cells as (lo, hi, j): line j holds the level on (lo, hi].
+    None when there are fewer than i lines.  The walk runs in integers.
+    """
+    if len(lines) < i:
+        return None
+    # just right of x = 0 the lines rank by (A, B)
+    cur = lines.index(sorted(lines)[i - 1])
+    N, D = x_max.numerator, x_max.denominator
+    p, q = 0, 1  # the walk is at x = p/q
+    lo = Fraction(0)
+    cells = []
+    while True:
+        # earliest crossing n/d of the current line in (p/q, x_max); x_max if none
+        a, b = lines[cur]
+        n, d = N, D
+        for A, B in lines:
+            if B != b:
+                cn, cd = (A - a, b - B) if b > B else (a - A, B - b)
+                if cn * q > p * cd and cn * d < n * cd:
+                    n, d = cn, cd
+        if (n, d) == (N, D):  # a crossing taken lies strictly before x_max
+            cells.append((lo, x_max, cur))
+            return cells
+        # lines below n/d keep their ranks and the lines through it leave
+        # in slope order, so position i passes to through[i - 1 - below]
+        level = a * d + b * n
+        below = 0
+        through = []
+        for j, (A, B) in enumerate(lines):
+            v = A * d + B * n
+            if v < level:
+                below += 1
+            elif v == level:
+                through.append((B, j))
+        through.sort()
+        nxt = through[i - 1 - below][1]
+        if nxt != cur:
+            hi = Fraction(n, d)
+            cells.append((lo, hi, cur))
+            lo, cur = hi, nxt
+        p, q = n, d
+
+
 def _level_walk(
     pool: list[AffineBranch], i: int, x_max: Fraction
 ) -> list[PiecewiseCell] | None:
     """Cells of the i-th level of the distinct lines `pool` on (0, x_max].
 
-    None when the pool has fewer than i lines.
+    None when the pool has fewer than i lines.  A cell's branch is its
+    line's record in the pool.
     """
-    if len(pool) < i:
-        return None
-    # just right of x = 0 the lines rank by (A, B)
-    cur = sorted(pool, key=lambda br: (br.A, br.B))[i - 1]
-    p, q = 0, 1  # the walk is at x = p/q
-    lo = Fraction(0)
-    cells: list[PiecewiseCell] = []
-    while True:
-        # earliest crossing n/d of the current line in (p/q, x_max); x_max if none
-        a, b = cur.A, cur.B
-        n, d = x_max.numerator, x_max.denominator
-        for br in pool:
-            if br.B != b:
-                cn, cd = (br.A - a, b - br.B) if b > br.B else (a - br.A, br.B - b)
-                if cn * q > p * cd and cn * d < n * cd:
-                    n, d = cn, cd
-        if (n, d) == (x_max.numerator, x_max.denominator):
-            cells.append(PiecewiseCell(lo, x_max, cur))
-            return cells
-        # lines below n/d keep their ranks and the lines through it leave
-        # in slope order, so position i passes to through[i - 1 - below]
-        level = a * d + b * n
-        below = sum(br.A * d + br.B * n < level for br in pool)
-        through = sorted(
-            (br for br in pool if br.A * d + br.B * n == level), key=lambda br: br.B
-        )
-        nxt = through[i - 1 - below]
-        if nxt is not cur:
-            hi = Fraction(n, d)
-            cells.append(PiecewiseCell(lo, hi, cur))
-            lo, cur = hi, nxt
-        p, q = n, d
+    cells = _walk_lines([(br.A, br.B) for br in pool], i, x_max)
+    return None if cells is None else [PiecewiseCell(lo, hi, pool[j]) for lo, hi, j in cells]
+
+
+def _pool(top: int) -> list[tuple[int, int]]:
+    """The lines (A, B) of the modes with 0 < A <= top, ordered by k and then by q.
+
+    A = k(k+2) - q^2 >= 2k, so k runs to top // 2, and A = 0 only for the
+    mode (0, 0).  For each k, A <= top holds exactly when
+    q^2 >= k(k+2) - top, so q runs from the ceiling square root of that
+    bound, moved up to the parity of k, to k.  No mode above top is listed.
+    """
+    pool = []
+    for k in range(1, top // 2 + 1):
+        s = k * (k + 2)
+        first = math.isqrt(s - top - 1) + 1 if s > top else 0
+        # a plain loop: no comprehension frame per k
+        for q in range(first + ((first ^ k) & 1), k + 1, 2):
+            pool.append((s - q * q, q * q))
+    return pool
+
+
+def _line_branch(A: int, B: int) -> AffineBranch:
+    """The branch of the mode whose line is A + B*x: A + B = k(k+2) = (k+1)^2 - 1 and B = q^2."""
+    return AffineBranch(A, B, _known_mode(math.isqrt(A + B + 1) - 1, math.isqrt(B)))
 
 
 def kth_distinct_piecewise(i: int, x_max: int | Fraction | str) -> list[PiecewiseCell]:
@@ -368,28 +403,32 @@ def kth_distinct_piecewise(i: int, x_max: int | Fraction | str) -> list[Piecewis
     limit instead.
 
     The pool of lines is fixed in one pass.  Let top be the i-th nonzero
-    line value at x_max.  Every line is nondecreasing in x, so the level
-    never exceeds top on (0, x_max], and a line with A > top lies strictly
-    above it there.  The pool is every line with 0 < A <= top; A >= 2k
-    bounds the modes to enumerate by k <= top/2, and the pool holds
-    O(top log top) lines.
+    line value at x_max, n/Q at x_max = P/Q, read from one integer merge
+    (`_merge`) of i + 1 values.  Every line is nondecreasing in x, so the
+    level never exceeds top on (0, x_max], and a line with A > top lies
+    strictly above it there.  The pool is every line with
+    0 < A <= n // Q (A is an integer), listed as (A, B) pairs by `_pool`
+    from one `isqrt` bound per k <= top/2: O(pool) integer operations for
+    O(top log top) lines, and no record.
 
-    The cells come from a walk along the i-th level of the pool's lines:
-    from the current line, jump to its earliest crossing, rank the lines
-    at that point by integer cross-multiplication and continue on the
-    line that holds position i.  Each step costs O(n) integer comparisons
-    for a pool of n lines, and there is one step per emitted breakpoint,
+    The cells come from a walk along the i-th level of the pool's lines
+    (`_walk_lines`): from the current line, jump to its earliest crossing,
+    rank the lines at that point by integer cross-multiplication and
+    continue on the line that holds position i.  Each step costs O(pool)
+    integer comparisons, and there is one step per emitted breakpoint,
     plus one per point where three or more lines meet and the level keeps
-    its line.
+    its line.  Records (cell, branch and mode) are built only for the
+    cells returned.
     """
     _check_count(i, "position")
     xm = _as_positive_fraction(x_max, "x_max")
+    Q = xm.denominator
     # one entry per mode; entry 0 is the constant mode (0, 0)
-    top = [v for v, modes in distinct_spectrum_at(xm, i + 1) for _ in modes][i]
-    pool = [branch_of(m) for m in enumerate_modes(int(top) // 2) if 0 < m.A <= top]
-    cells = _level_walk(pool, i, xm)
+    top = [n for n, pairs in _merge(xm.numerator, Q, i + 1) for _ in pairs][i] // Q
+    lines = _pool(top)
+    cells = _walk_lines(lines, i, xm)
     assert cells is not None  # the i lines at or below top at x_max are in the pool
-    return cells
+    return [PiecewiseCell(lo, hi, _line_branch(*lines[j])) for lo, hi, j in cells]
 
 
 # The twelve named curves gamma_1..gamma_9, alpha_3, beta_2 and beta_4,

@@ -117,7 +117,8 @@ def emit(table: Table, request: OutputRequest) -> None:
     Rows are written in chunks of `_CHUNK` rows, so the text held beside
     the table is a few copies of one chunk's, not the whole output.  A CSV chunk is its columns' slices, quoted
     by `_csv_fields` and joined, in one write.  A JSON chunk is
-    `json.dumps` of its rows as dicts, less the brackets; the chunks
+    its rows as dicts, encoded as `json.dumps(..., indent=2)` would by one
+    `json.JSONEncoder` per table, less the brackets; the chunks
     joined with ",\n" inside "[\n" ... "\n]\n" are the bytes of one
     `json.dumps` of the whole table, and a table without rows is "[]\n".
     """
@@ -146,6 +147,8 @@ def emit(table: Table, request: OutputRequest) -> None:
             raise TypeError(f"column {name!r} holds cells of type {sorted({type(c).__name__ for c in col})}")
     if as_json:
         import json  # only here: CSV requests do not pay for it
+
+        encode = json.JSONEncoder(indent=2).encode  # json.dumps would build one per chunk
     rows = lengths[0] if lengths else 0
     out = sys.stdout if request.output is None else open(request.output, "w")
     try:
@@ -153,7 +156,7 @@ def emit(table: Table, request: OutputRequest) -> None:
             for lo in range(0, rows, _CHUNK):
                 chunk = zip(*_chunk(cols, lo, rows))
                 out.write(",\n" if lo else "[\n")
-                out.write(json.dumps([dict(zip(fields, row)) for row in chunk], indent=2)[2:-2])
+                out.write(encode([dict(zip(fields, row)) for row in chunk])[2:-2])
             out.write("\n]\n" if rows else "[]\n")
         else:
             for c in comments:
@@ -241,7 +244,7 @@ def handle_berger(args: argparse.Namespace) -> Table:
             f"spectrum of sigma_1^2 + sigma_2^2 + eps^2 sigma_3^2 at eps = {eps} "
             f"(x = eps^-2 = {x})"
         ]
-    _check_count(args.count)
+    _check_count(args.count, "--count")
     if x == 1:
         nums, A, B, labels, multiplicities = _round_columns(args.count)
     else:
@@ -288,6 +291,7 @@ def handle_piecewise(args: argparse.Namespace) -> Table:
         raise ValueError("exactly one of --index and --slot is required")
     x_max = _as_positive_fraction(args.xmax, "--xmax")
     if args.index is not None:
+        _check_count(args.index, "--index")
         cells = kth_distinct_piecewise(args.index, x_max)
         comments = [
             f"branch partition of distinct nonzero eigenvalue {args.index} on (0, {x_max}]",

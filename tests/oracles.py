@@ -7,11 +7,18 @@ criteria, so they live with the tests and not in `bergerspec`.
 import math
 from fractions import Fraction
 
-from bergerspec.berger import Mode, _check_positive
+from bergerspec.berger import Mode, _check_positive, _known_mode
 from bergerspec.jacobi import EinsteinAmbient
 from bergerspec.slices import SliceGeometry
 
 ROUND_S4_AMBIENT = EinsteinAmbient(n=4, s=12.0, validity="constant-curvature", name="round S^4")
+
+
+def enumerate_modes(k_max: int) -> list[Mode]:
+    """All valid modes with k <= k_max, including (0, 0)."""
+    if k_max < 0:
+        raise ValueError(f"k_max must be non-negative, got {k_max!r}")
+    return [_known_mode(k, q) for k in range(k_max + 1) for q in range(k % 2, k + 1, 2)]
 
 
 def mode_value(m: Mode, t: float) -> float:

@@ -17,13 +17,13 @@ from bergerspec.berger import (
     PiecewiseCell,
     SpectrumEntry,
     _level_walk,
+    _pool,
     alpha_branch,
     beta_branch,
     branch_crossing,
     branch_of,
     distinct_spectrum_at,
     eleven_slot_table,
-    enumerate_modes,
     epsilon_lambda1,
     gamma_branch,
     kth_distinct_piecewise,
@@ -35,7 +35,7 @@ from bergerspec.berger import (
 from bergerspec.cli import main
 from bergerspec.page import page_slice
 from bergerspec.slices import cp2_slice
-from oracles import mode_multiplicity, mode_value
+from oracles import enumerate_modes, mode_multiplicity, mode_value
 
 
 def test_mode_validation():
@@ -484,17 +484,18 @@ def test_level_walk_through_a_triple_point():
 
 def test_piecewise_walks_once_over_the_lines_below_top(monkeypatch):
     pools = []
+    walk = berger._walk_lines
 
-    def spy(pool, i, x_max):
-        pools.append(pool)
-        return _level_walk(pool, i, x_max)
+    def spy(lines, i, x_max):
+        pools.append(lines)
+        return walk(lines, i, x_max)
 
-    monkeypatch.setattr(berger, "_level_walk", spy)
+    monkeypatch.setattr(berger, "_walk_lines", spy)
     kth_distinct_piecewise(20, 50)
     top = _level_value(50, 20)
     assert len(pools) == 1
     want = [(m.A, m.B) for m in enumerate_modes(int(top)) if 0 < m.A <= top]
-    assert sorted((br.A, br.B) for br in pools[0]) == sorted(want)
+    assert sorted(pools[0]) == sorted(want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -508,6 +509,28 @@ def test_piecewise_pool_is_complete(i, x_max):
     bound = 2 * _level_value(x_max, i) + 8
     wider = [branch_of(m) for m in enumerate_modes(int(bound)) if 0 < m.A <= bound]
     assert kth_distinct_piecewise(i, x_max) == _level_walk(wider, i, x_max)
+
+
+def test_pool_is_the_modes_up_to_top_in_mode_order():
+    # enumerate_modes(top // 2) is a prefix of enumerate_modes(1500) for
+    # top <= 3000, and A >= 2k, so filtering the one list by 0 < A <= top
+    # gives [(m.A, m.B) for m in enumerate_modes(top // 2) if 0 < m.A <= top]
+    low = [(m.A, m.B) for m in enumerate_modes(1500) if m.A <= 3000]
+    for top in range(3001):
+        assert _pool(top) == [line for line in low if 0 < line[0] <= top], top
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    i=st.integers(min_value=1, max_value=12),
+    x_max=st.fractions(min_value=0, max_value=1, max_denominator=12).filter(lambda x: x > 0),
+)
+def test_piecewise_matches_the_midpoint_oracle_over_the_listed_modes(i, x_max):
+    # the pool listed from every mode up to top // 2, filtered by exact
+    # values: apart from `_pool` and from the walk
+    top = _level_value(x_max, i)
+    pool = [branch_of(m) for m in enumerate_modes(int(top) // 2) if 0 < m.A <= top]
+    assert kth_distinct_piecewise(i, x_max) == _midpoint_partition(pool, i, x_max)
 
 
 def test_piecewise_index_twenty_to_fifty(capsys):

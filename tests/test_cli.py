@@ -142,6 +142,10 @@ def test_piecewise_usage(capsys):
         (["piecewise", "--slot", "1", "--xmax", "0"], "--xmax must be positive, got 0"),
         (["berger", "--t", "0"], "--t must be positive, got 0"),
         (["berger", "--epsilon=-1/2"], "--epsilon must be positive, got -1/2"),
+        (["piecewise", "--index", "0"], "--index must be a positive integer, got 0"),
+        (["piecewise", "--index", "-3", "--xmax", "2"], "--index must be a positive integer, got -3"),
+        (["berger", "--t", "1", "--count", "0"], "--count must be a positive integer, got 0"),
+        (["berger", "--epsilon", "2", "--count", "-1"], "--count must be a positive integer, got -1"),
     ],
 )
 def test_nonpositive_exact_flag_is_a_domain_error(capsys, argv, line):
