@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from collections.abc import Iterable
 from fractions import Fraction
 from itertools import starmap
@@ -172,8 +173,17 @@ def _as_positive_fraction(x: int | Fraction | str, name: str) -> Fraction:
     except (ValueError, OverflowError, ZeroDivisionError):  # NaN, inf, "inf", "1/0"
         raise ValueError(f"{name} must be a finite rational, got {x!r}") from None
     if value <= 0:
-        raise ValueError(f"{name} must be positive, got {value}")
+        raise ValueError(f"{name} must be positive, got {_exact_text(value, name)}")
     return value
+
+
+def _exact_text(value: Fraction, name: str) -> str:
+    """str(value), or a ValueError naming `name` if a term passes the int-to-str digit limit."""
+    try:
+        return str(value)
+    except ValueError:  # the limit is interpreter-wide, so it is not raised here
+        digits = sys.get_int_max_str_digits()
+        raise ValueError(f"{name} needs more than {digits} digits to print exactly") from None
 
 
 def _check_positive(value: float, name: str) -> None:
@@ -194,15 +204,11 @@ def _merge(P: int, Q: int, count: int) -> list[tuple[int, list[tuple[int, int]]]
     distinct_spectrum_at documents.  P/Q need not be in lowest terms.
     The values are a k-way heap merge, in integers, of one sorted stream
     of modes per k; a mode returned costs one heap sift, logarithmic in
-    the number of open streams, and one integer add.  At P = Q the result
-    is in closed form, which `_round_columns` writes as text.
+    the number of open streams, and one integer add.  At P = Q every
+    stream is constant and its modes come out in ascending q.
     """
-    if P == Q:
-        return [
-            (k * (k + 2) * Q, [(k, q) for q in range(k % 2, k + 1, 2)]) for k in range(count)
-        ]
     slope = P - Q
-    step = 2 if slope > 0 else -2
+    step = 2 if slope >= 0 else -2
     rise = step * slope  # q^2 (P - Q) grows by (2q + step) * rise per step of q
     heapreplace, heappush, heappop = heapq.heapreplace, heapq.heappush, heapq.heappop
     # an entry is (numerator, k, position i of q in stream k, q); the keys
@@ -237,10 +243,9 @@ def _merge(P: int, Q: int, count: int) -> list[tuple[int, list[tuple[int, int]]]
 def _round_columns(count: int) -> tuple[list[int], list[str], list[str], list[str], list[int]]:
     """`_merge(1, 1, count)` as columns: numerators, A, B, labels, multiplicities.
 
-    At x = 1 value k is k(k+2), attained by the modes (k, q) for q = k mod 2,
-    ..., k ascending, as in `_merge`'s P == Q branch.  Its first mode
-    (k, k mod 2) has A = k(k+2) - (k mod 2) and B = k mod 2, and its modes
-    sum to the multiplicity (k+1)^2 by `_total_multiplicity`'s rule.  No
+    At x = 1 value k is k(k+2), attained by the modes (k, q) for
+    q = k mod 2, ..., k ascending, as `_merge` orders them: so A is
+    k(k+2) - (k mod 2), B is k mod 2 and the multiplicity is (k+1)^2.  No
     mode is built: one list of the texts of 0..count-1 serves every label,
     so a label costs one join over a slice of it.
     """
@@ -256,15 +261,35 @@ def _round_columns(count: int) -> tuple[list[int], list[str], list[str], list[st
     )
 
 
+def _spectrum_columns(x: Fraction, count: int, with_multiplicity: bool) -> tuple:
+    """`_round_columns`' columns at x: its closed form at x = 1, else read from `_merge`."""
+    if x == 1:
+        return _round_columns(count)
+    groups = _merge(x.numerator, x.denominator, count)
+    firsts = [pairs[0] for _, pairs in groups]
+    return (
+        [m for m, _ in groups],
+        [str(k * (k + 2) - q * q) for k, q in firsts],
+        [str(q * q) for _, q in firsts],
+        # a one-mode label is one f-string, about half the cost of a join over one pair
+        [
+            f"({pairs[0][0]},{pairs[0][1]})"
+            if len(pairs) == 1
+            else "+".join([f"({k},{q})" for k, q in pairs])
+            for _, pairs in groups
+        ],
+        [_total_multiplicity(pairs) for _, pairs in groups] if with_multiplicity else None,
+    )
+
+
 def distinct_spectrum_at(
     x: int | Fraction | str, count: int
 ) -> list[tuple[Fraction, list[Mode]]]:
     """The `count` smallest distinct branch values A + B*x, exactly.
 
     Each value carries every mode attaining it, ordered by k and then by
-    q, ascending for x >= 1 and descending for x < 1.  The values come
-    from one integer merge (`_merge`) whose cost is proportional to the
-    modes returned.
+    q, ascending for x >= 1 and descending for x < 1.  They come from one
+    integer merge (`_merge`), at a cost proportional to the modes returned.
     """
     xf = _as_positive_fraction(x, "x")
     _check_count(count)
@@ -356,16 +381,16 @@ def _walk_lines(
         p, q = n, d
 
 
-def _level_walk(
-    pool: list[AffineBranch], i: int, x_max: Fraction
-) -> list[PiecewiseCell] | None:
-    """Cells of the i-th level of the distinct lines `pool` on (0, x_max].
-
-    None when the pool has fewer than i lines.  A cell's branch is its
-    line's record in the pool.
-    """
-    cells = _walk_lines([(br.A, br.B) for br in pool], i, x_max)
-    return None if cells is None else [PiecewiseCell(lo, hi, pool[j]) for lo, hi, j in cells]
+def _level_cells(lines: list[tuple[int, int]], i: int, x_max: Fraction) -> list[PiecewiseCell]:
+    """Cells of the i-th level of at least i mode lines (A, B) on (0, x_max], with their modes."""
+    cells = _walk_lines(lines, i, x_max)
+    assert cells is not None, f"fewer than {i} lines"
+    out = []
+    for lo, hi, j in cells:
+        A, B = lines[j]
+        mode = _known_mode(math.isqrt(A + B + 1) - 1, math.isqrt(B))  # A + B = (k+1)^2 - 1, B = q^2
+        out.append(PiecewiseCell(lo, hi, AffineBranch(A, B, mode)))
+    return out
 
 
 def _pool(top: int) -> list[tuple[int, int]]:
@@ -386,11 +411,6 @@ def _pool(top: int) -> list[tuple[int, int]]:
     return pool
 
 
-def _line_branch(A: int, B: int) -> AffineBranch:
-    """The branch of the mode whose line is A + B*x: A + B = k(k+2) = (k+1)^2 - 1 and B = q^2."""
-    return AffineBranch(A, B, _known_mode(math.isqrt(A + B + 1) - 1, math.isqrt(B)))
-
-
 def kth_distinct_piecewise(i: int, x_max: int | Fraction | str) -> list[PiecewiseCell]:
     """Partition of (0, x_max] realizing the i-th smallest distinct value.
 
@@ -403,69 +423,69 @@ def kth_distinct_piecewise(i: int, x_max: int | Fraction | str) -> list[Piecewis
     limit instead.
 
     The pool of lines is fixed in one pass.  Let top be the i-th nonzero
-    line value at x_max, n/Q at x_max = P/Q, read from one integer merge
-    (`_merge`) of i + 1 values.  Every line is nondecreasing in x, so the
-    level never exceeds top on (0, x_max], and a line with A > top lies
-    strictly above it there.  The pool is every line with
-    0 < A <= n // Q (A is an integer), listed as (A, B) pairs by `_pool`
-    from one `isqrt` bound per k <= top/2: O(pool) integer operations for
+    line value at x_max, n/Q at x_max = P/Q, from one integer merge
+    (`_merge`) of i + 1 values.  Every line is nondecreasing in x, so a
+    line with A > top lies strictly above the level on (0, x_max].  `_pool`
+    lists every line with 0 < A <= n // Q as (A, B) pairs, from one
+    `isqrt` bound per k <= top/2: O(pool) integer operations for
     O(top log top) lines, and no record.
 
-    The cells come from a walk along the i-th level of the pool's lines
-    (`_walk_lines`): from the current line, jump to its earliest crossing,
-    rank the lines at that point by integer cross-multiplication and
-    continue on the line that holds position i.  Each step costs O(pool)
-    integer comparisons, and there is one step per emitted breakpoint,
-    plus one per point where three or more lines meet and the level keeps
-    its line.  Records (cell, branch and mode) are built only for the
-    cells returned.
+    The cells come from the walk along the i-th level of the pool
+    (`_walk_lines`, through `_level_cells`): from the current line, jump to
+    its earliest crossing, rank the lines there by integer
+    cross-multiplication and continue on the line at position i.  A step
+    costs O(pool) integer comparisons; there is one per breakpoint, plus
+    one per point where three or more lines meet and the level keeps its
+    line.  Records are built only for the cells returned.
     """
     _check_count(i, "position")
     xm = _as_positive_fraction(x_max, "x_max")
     Q = xm.denominator
     # one entry per mode; entry 0 is the constant mode (0, 0)
     top = [n for n, pairs in _merge(xm.numerator, Q, i + 1) for _ in pairs][i] // Q
-    lines = _pool(top)
-    cells = _walk_lines(lines, i, xm)
-    assert cells is not None  # the i lines at or below top at x_max are in the pool
-    return [PiecewiseCell(lo, hi, _line_branch(*lines[j])) for lo, hi, j in cells]
+    return _level_cells(_pool(top), i, xm)  # the i lines at or below top at x_max are in it
 
 
-# The twelve named curves gamma_1..gamma_9, alpha_3, beta_2 and beta_4,
-# ranked just right of x = 0 by (A, B), as _level_walk ranks its pool.
+# The lines (A, B) of the twelve curves gamma_1..gamma_9, alpha_3, beta_2 and
+# beta_4, ranked just right of x = 0 by (A, B), as _walk_lines ranks lines.
 _SLOT_CURVES = sorted(
-    [*map(gamma_branch, range(1, 10)), alpha_branch(3), beta_branch(2), beta_branch(4)],
-    key=lambda br: (br.A, br.B),
+    (br.A, br.B)
+    for br in [*map(gamma_branch, range(1, 10)), alpha_branch(3), beta_branch(2), beta_branch(4)]
 )
 
 
-def _slot_curves(slot: int, name: str) -> list[AffineBranch]:
-    """The curves ranked slot..12, whose lower envelope is table slot `slot`."""
+def _slot_curves(slot: int, name: str) -> list[tuple[int, int]]:
+    """The lines of the curves ranked slot..12, whose lower envelope is table slot `slot`."""
     if not 1 <= slot < len(_SLOT_CURVES):
         raise ValueError(f"{name} must be in 1..{len(_SLOT_CURVES) - 1}, got {slot!r}")
     return _SLOT_CURVES[slot - 1 :]
 
 
+def _slot_cells(slot: int, x_max: Fraction, name: str = "slot") -> list[PiecewiseCell]:
+    """Table slot `slot` on (0, x_max]: the first level of the curves ranked slot..12."""
+    return _level_cells(_slot_curves(slot, name), 1, x_max)
+
+
 def eleven_slot_table() -> list[list[PiecewiseCell]]:
     """The conventional eleven-curve table of the low spectrum.
 
-    Rank the twelve curves gamma_1..gamma_9, alpha_3, beta_2 and beta_4 by
-    (A, B), their order just right of x = 0.  Slot j is the lower envelope
-    of the curves ranked j..12, walked as the first level of their
-    arrangement (`_level_walk`).  So a slot keeps its curve across a
-    crossing with a curve ranked above it, and slots differ from
-    distinct-value positions wherever two curves have crossed.
+    Rank the curves gamma_1..gamma_9, alpha_3, beta_2 and beta_4 by (A, B),
+    their order just right of x = 0.  Slot j is the lower envelope of the
+    curves ranked j..12, walked as the first level of their lines
+    (`_level_cells`), so it keeps its curve across a crossing with a curve
+    ranked above it: slots differ from distinct-value positions wherever
+    two curves have crossed.
 
     The walk runs to x = max A = 24: two curves with different B cross at
-    |dA|/|dB| < max A, so every breakpoint lies before it.  The last cell
-    of each slot lies on a beta line (B = 0): a constant that is the least
-    of the slot's curves at the bound, while every other curve is
-    nondecreasing.  So that cell extends to infinity, and its hi is None.
+    |dA|/|dB| < max A, so every breakpoint lies before it.  Each slot ends
+    on a beta line (B = 0), a constant that is the least of its curves at
+    the bound, while every other curve is nondecreasing; so that last cell
+    extends to infinity, and its hi is None.
     """
-    x_max = Fraction(max(br.A for br in _SLOT_CURVES))
+    x_max = Fraction(max(A for A, _ in _SLOT_CURVES))
     table = []
     for j in range(1, len(_SLOT_CURVES)):
-        *cells, last = _level_walk(_slot_curves(j, "slot"), 1, x_max)
+        *cells, last = _slot_cells(j, x_max)
         assert last.branch.B == 0, f"slot {j} ends on {last.branch.label()}, not a beta line"
         table.append([*cells, last.replace(hi=None)])
     return table
@@ -474,7 +494,7 @@ def eleven_slot_table() -> list[list[PiecewiseCell]]:
 def slot_value_at(slot: int, x: int | Fraction | str) -> Fraction:
     """Coefficient value of table slot `slot` (1-based) at x: the least of its curves."""
     xf = _as_positive_fraction(x, "x")
-    return min(br.value_at(xf) for br in _slot_curves(slot, "slot"))
+    return min(A + B * xf for A, B in _slot_curves(slot, "slot"))
 
 
 def tanno_lambda1(t: float) -> float:

@@ -15,22 +15,9 @@ with '#'.  Exit status: 0 success, 2 usage or domain error, 3 structural
 error (for example a Page root count other than two).
 
 Each handler returns a table of comments, field names and columns, one
-column per field, all of one length.  A handler is the one place where
-exact values become text: it writes them as str.  So every column `emit`
-sees holds cells of one type, int, str or float; it writes int and str
-columns as they are, formats float columns to --precision digits, and
-refuses any other column, or a table of any other shape, with a
-TypeError.  `handle_berger` builds its columns straight from the merge;
-the other handlers build rows and transpose them once.
-
-`emit` makes every check and formats every float before it opens the
-output, so a refused table writes nothing: its error comes before the
-first byte.  It then writes the rows in chunks of 64.  As CSV a chunk
-is its columns' slices joined into lines.  A str cell is quoted by one
-rule: a cell holding ',', '"', CR or LF is wrapped in '"' with inner
-'"' doubled, and a row that is one empty field is written '""'.  As
-JSON a chunk is one `json.dumps` of its rows, and the chunks together
-are the bytes of one `json.dumps` of the table.
+column per field, all of one length, which `emit` checks and writes.  A
+handler is the one place where exact values become text: it writes them
+as str, so every column holds cells of one type, int, str or float.
 
 `main` can be called many times in one process.  The argument parser is
 built once per process, on the first call, and the packaged Page
@@ -53,12 +40,11 @@ from fractions import Fraction
 from .berger import (  # noqa: F401  (distinct_spectrum_at, eleven_slot_table, spectrum_with_multiplicity: bench/tracing.py wraps them here)
     _as_positive_fraction,
     _check_count,
-    _level_walk,
+    _exact_text,
     _merge,
     _Record,
-    _round_columns,
-    _slot_curves,
-    _total_multiplicity,
+    _slot_cells,
+    _spectrum_columns,
     distinct_spectrum_at,
     eleven_slot_table,
     kth_distinct_piecewise,
@@ -105,22 +91,22 @@ def emit(table: Table, request: OutputRequest) -> None:
     """Write the table as CSV or JSON, converting it column by column.
 
     The table must hold one column per field, all of one length, and each
-    column must hold cells of exactly one type.  A column of strs is
-    written as it is and a column of ints as their `str`; a column of
-    floats is formatted to --precision significant digits, and JSON reads
-    each text back with `float`.  Any other shape raises a TypeError
-    naming it, and any other column, bool or a subclass or mixed types
-    included, one naming the column and its cell types.  These checks, the
-    float formatting and, for CSV, the int texts all come before the output
-    is opened, so a refused table writes no byte.
+    column cells of exactly one type: str, written as it is; int, as its
+    `str`; or float, formatted to --precision significant digits (JSON
+    reads each text back with `float`).  Any other shape raises a
+    TypeError naming it, and any other column (bool, a subclass or mixed
+    types included) one naming the column and its cell types.  The checks,
+    the float formatting and, for CSV, the int texts come before the
+    output is opened, so a refused table writes no byte.
 
     Rows are written in chunks of `_CHUNK` rows, so the text held beside
-    the table is a few copies of one chunk's, not the whole output.  A CSV chunk is its columns' slices, quoted
-    by `_csv_fields` and joined, in one write.  A JSON chunk is
-    its rows as dicts, encoded as `json.dumps(..., indent=2)` would by one
-    `json.JSONEncoder` per table, less the brackets; the chunks
-    joined with ",\n" inside "[\n" ... "\n]\n" are the bytes of one
-    `json.dumps` of the whole table, and a table without rows is "[]\n".
+    the table is a few copies of one chunk's, not the whole output.  A CSV
+    chunk is its columns' slices, quoted by `_csv_fields` and joined, in
+    one write.  A JSON chunk is its rows as dicts, encoded as
+    `json.dumps(..., indent=2)` would by one `json.JSONEncoder` per table,
+    less the brackets; the chunks joined with ",\n" inside "[\n" ... "\n]\n"
+    are the bytes of one `json.dumps` of the whole table, and a table
+    without rows is "[]\n".
     """
     comments, fields, columns = table
     lengths = [len(col) for col in columns]
@@ -216,18 +202,12 @@ def handle_sphere(args: argparse.Namespace) -> Table:
 def handle_berger(args: argparse.Namespace) -> Table:
     """The --count smallest distinct eigenvalues at --t or --epsilon, as columns.
 
-    Value n has the float of the exact value s (A + B x), the A and B of
-    the first mode attaining it as strings, and every such mode's label.
-    The columns are built straight from one integer merge (`berger._merge`)
-    at x = P/Q: the merge yields numerators m over Q, and the value
-    s m / Q is the true division (s.numerator m) / (s.denominator Q) of
-    two ints, which is correctly rounded, so it is bit-identical to the
-    float of the exact eigenvalue.  The cost is proportional to the
-    output, which grows faster than --count: at x = 1 (t = 1 or
-    epsilon = 1, the round sphere) value n carries the modes (n, q) with
-    q = n mod 2, ..., n, so --count c prints about c^2/4 labels.  There
-    the merge's closed form is taken as text (`berger._round_columns`),
-    with no list of modes.
+    The columns come from `berger._spectrum_columns` at x = P/Q.  Value n
+    is s m / Q for the scale s and its merge numerator m: the true division
+    (s.numerator m) / (s.denominator Q) of two ints, correctly rounded.
+    The cost is proportional to the output, which grows faster than
+    --count: at x = 1 value n has the modes (n, q) for q = n mod 2, ..., n,
+    so --count c prints about c^2/4 labels.
     """
     if (args.t is None) == (args.epsilon is None):
         raise ValueError("exactly one of --t and --epsilon is required")
@@ -235,35 +215,21 @@ def handle_berger(args: argparse.Namespace) -> Table:
         t = _as_positive_fraction(args.t, "--t")
         x = 1 / t**3
         scale = t  # eigenvalue is t (A + B x)
-        comments = [f"Berger sphere spectrum at t = {t} (x = t^-3 = {x})"]
+        text = _exact_text(x, "--t")  # t's terms are cube roots of x's, so t prints too
+        comments = [f"Berger sphere spectrum at t = {t} (x = t^-3 = {text})"]
     else:
         eps = _as_positive_fraction(args.epsilon, "--epsilon")
         x = 1 / eps**2
         scale = Fraction(1)  # t (A + B x) / mu with mu = t = eps^(2/3)
+        text = _exact_text(x, "--epsilon")  # eps's terms are square roots of x's
         comments = [
             f"spectrum of sigma_1^2 + sigma_2^2 + eps^2 sigma_3^2 at eps = {eps} "
-            f"(x = eps^-2 = {x})"
+            f"(x = eps^-2 = {text})"
         ]
     _check_count(args.count, "--count")
-    if x == 1:
-        nums, A, B, labels, multiplicities = _round_columns(args.count)
-    else:
-        groups = _merge(x.numerator, x.denominator, args.count)
-        nums = [m for m, _ in groups]
-        firsts = [pairs[0] for _, pairs in groups]
-        A = [str(k * (k + 2) - q * q) for k, q in firsts]
-        B = [str(q * q) for _, q in firsts]
-        # a one-mode label is one f-string, about half the cost of a join over one pair
-        labels = [
-            f"({pairs[0][0]},{pairs[0][1]})"
-            if len(pairs) == 1
-            else "+".join([f"({k},{q})" for k, q in pairs])
-            for _, pairs in groups
-        ]
-        if args.with_multiplicity:
-            multiplicities = [_total_multiplicity(pairs) for _, pairs in groups]
+    nums, *texts, multiplicities = _spectrum_columns(x, args.count, args.with_multiplicity)
     fields = ["n", "value", "A", "B", "mode"]
-    columns = [list(range(args.count)), _values(nums, scale, x.denominator), A, B, labels]
+    columns = [list(range(args.count)), _values(nums, scale, x.denominator), *texts]
     if args.with_multiplicity:
         fields.append("multiplicity")
         columns.append(multiplicities)
@@ -290,17 +256,18 @@ def handle_piecewise(args: argparse.Namespace) -> Table:
     if (args.index is None) == (args.slot is None):
         raise ValueError("exactly one of --index and --slot is required")
     x_max = _as_positive_fraction(args.xmax, "--xmax")
+    xm_text = _exact_text(x_max, "--xmax")  # the cells' lo and hi are then short enough too
     if args.index is not None:
         _check_count(args.index, "--index")
         cells = kth_distinct_piecewise(args.index, x_max)
         comments = [
-            f"branch partition of distinct nonzero eigenvalue {args.index} on (0, {x_max}]",
+            f"branch partition of distinct nonzero eigenvalue {args.index} on (0, {xm_text}]",
             "eigenvalue = t (A + B x) on each cell, x = t^-3",
         ]
     else:
-        cells = _level_walk(_slot_curves(args.slot, "--slot"), 1, x_max)
+        cells = _slot_cells(args.slot, x_max, "--slot")
         comments = [
-            f"curve {args.slot} of the eleven-curve table on (0, {x_max}]",
+            f"curve {args.slot} of the eleven-curve table on (0, {xm_text}]",
             "slots keep their branch identity across crossings; they are not",
             "the ascending distinct-value order wherever curves have crossed",
         ]

@@ -94,15 +94,12 @@ def _shifted_spectrum(
 ) -> tuple[list[float], list[tuple[int, list[tuple[int, int]]]]]:
     """The first `depth` distinct slice eigenvalues minus `shift`, and the merge behind them.
 
-    Every slice value is computed here, from one integer merge (`_merge`,
-    whose groups (n, [(k, q), ...]) are returned as they are) with no
-    Fraction, Mode or SpectrumEntry per value: with x = P/Q the merge
-    yields numerators n over the common denominator Q, and each value is
-    n / Q / f - shift, where the float n / Q of two ints is correctly
-    rounded.  A value that is not finite (n / Q / f overflows for f near
-    the bottom of the float range) is a domain error that names r, for
-    slice_spectrum and slice_index_nullity alike: an inf bound would pass
-    certification.
+    Every slice value is computed here.  With x = P/Q one integer merge
+    (`_merge`, whose groups are returned as they are) yields numerators n
+    over Q, and each value is n / Q / f - shift, where the float n / Q of
+    two ints is correctly rounded.  A value that is not finite (n / Q / f
+    overflows for f near the bottom of the float range) is a domain error
+    that names r: an inf bound would pass certification.
     """
     _check_count(depth, "depth")
     Q, f = geom.x.denominator, geom.f

@@ -16,7 +16,6 @@ from bergerspec.berger import (
     Mode,
     PiecewiseCell,
     SpectrumEntry,
-    _level_walk,
     _pool,
     alpha_branch,
     beta_branch,
@@ -267,9 +266,11 @@ def _check_merge(P: int, Q: int, counts) -> None:
         assert berger._merge(P, Q, count) == oracle[:count]
 
 
-# x = 1, also as 7/7; x = 1 +- 1/Q; x far from 1 on both sides
+# x = 1, also as 2/2, 7/7 and 10^6/10^6; x = 1 +- 1/Q; x far from 1 on both sides
 @pytest.mark.parametrize(
-    "P, Q", [(1, 1), (7, 7), (2, 1), (3, 2), (1, 2), (8, 7), (6, 7), (13, 12), (11, 12), (1, 9), (9, 1)]
+    "P, Q",
+    [(1, 1), (2, 2), (7, 7), (10**6, 10**6)]
+    + [(2, 1), (3, 2), (1, 2), (8, 7), (6, 7), (13, 12), (11, 12), (1, 9), (9, 1)],
 )
 def test_merge_matches_brute_force_grouping(P, Q):
     _check_merge(P, Q, range(1, 121))
@@ -422,6 +423,12 @@ def test_piecewise_matches_distinct_everywhere(i, num, den):
     cell = next(c for c in _PARTITIONS[i] if c.lo < x <= c.hi)
     # exact at every x, breakpoints and crossings inside a cell included
     assert cell.branch.value_at(x) == _level_value(x, i)
+
+
+def _level_walk(pool, i, x_max):
+    """`berger._walk_lines` over the lines of the branches `pool`, each cell carrying its pool branch."""
+    cells = berger._walk_lines([(br.A, br.B) for br in pool], i, x_max)
+    return None if cells is None else [PiecewiseCell(lo, hi, pool[j]) for lo, hi, j in cells]
 
 
 def _midpoint_partition(pool, i, x_max):

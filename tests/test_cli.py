@@ -154,6 +154,30 @@ def test_nonpositive_exact_flag_is_a_domain_error(capsys, argv, line):
     assert err == f"bergerspec: {line}\n"
 
 
+def _too_long_to_print():
+    """Requests whose exact values pass the int-to-str digit limit L, with the flag each names."""
+    L = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not L:
+        return []
+    return [
+        (["berger", "--t", f"1e{L // 3 + 1}", "--count", "3"], "--t"),  # x = t^-3
+        (["berger", "--t", f"1e{L}"], "--t"),
+        (["berger", "--t", f"-1e{L}"], "--t"),
+        (["berger", "--epsilon", f"1e{L // 2 + 1}", "--count", "3"], "--epsilon"),  # x = eps^-2
+        (["piecewise", "--index", "2", "--xmax", f"1e{L}"], "--xmax"),
+        (["piecewise", "--slot", "1", "--xmax", f"1e-{L}"], "--xmax"),
+        (["piecewise", "--index", "1", "--xmax", f"-1e{L}"], "--xmax"),
+    ]
+
+
+@pytest.mark.parametrize("argv, flag", _too_long_to_print())
+def test_exact_value_too_long_to_print_names_the_flag(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    limit = sys.get_int_max_str_digits()
+    assert err == f"bergerspec: {flag} needs more than {limit} digits to print exactly\n"
+
+
 @pytest.mark.parametrize("slot", ["0", "12", "-1"])
 def test_piecewise_slot_out_of_range_names_the_flag(capsys, slot):
     code, out, err = run(capsys, "piecewise", "--slot", slot)
