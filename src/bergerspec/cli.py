@@ -19,23 +19,24 @@ column per field, all of one length, which `emit` checks and writes.  A
 handler is the one place where exact values become text: it writes them
 as str, so every column holds cells of one type, int, str or float.
 
-`main` can be called many times in one process.  The argument parser is
-built once per process, on the first call, and the packaged Page
-constants are read and validated once, on the first request that needs
-them; a --page-config file is read and validated on every request.  The
+`main` can be called many times in one process.  The option tables
+(`COMMANDS`) are module constants, read by a small parser of their own, and
+`build_parser` is a cheap wrapper over them.  The packaged Page constants
+are read and validated once, on the first request that needs them; a
+--page-config file is read and validated on every request.  The
 exact Page root count is kept with the constants object, so it follows
 the same rule; each page request makes one bisection to its --tol.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import math
 import os
 import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .berger import (  # noqa: F401  (distinct_spectrum_at, eleven_slot_table, spectrum_with_multiplicity: bench/tracing.py wraps them here)
     _as_positive_fraction,
@@ -192,14 +193,14 @@ def _csv_fields(cells: list[str], alone: bool) -> list[str]:
     return cells
 
 
-def handle_sphere(args: argparse.Namespace) -> Table:
+def handle_sphere(args: SimpleNamespace) -> Table:
     """One row per degree 0..--kmax: the cost is proportional to the output."""
     rows = [(e.degree, e.eigenvalue, e.multiplicity) for e in sphere_spectrum(args.dim, args.kmax)]
     comments = [f"spectrum of the round {args.dim}-sphere through degree {args.kmax}"]
     return comments, ["k", "eigenvalue", "multiplicity"], list(zip(*rows))
 
 
-def handle_berger(args: argparse.Namespace) -> Table:
+def handle_berger(args: SimpleNamespace) -> Table:
     """The --count smallest distinct eigenvalues at --t or --epsilon, as columns.
 
     The columns come from `berger._spectrum_columns` at x = P/Q.  Value n
@@ -252,7 +253,7 @@ def _values(nums: list[int], scale: Fraction, Q: int) -> list[float]:
     return values
 
 
-def handle_piecewise(args: argparse.Namespace) -> Table:
+def handle_piecewise(args: SimpleNamespace) -> Table:
     if (args.index is None) == (args.slot is None):
         raise ValueError("exactly one of --index and --slot is required")
     x_max = _as_positive_fraction(args.xmax, "--xmax")
@@ -275,7 +276,7 @@ def handle_piecewise(args: argparse.Namespace) -> Table:
     return comments, ["lo", "hi", "A", "B", "mode"], list(zip(*rows))
 
 
-def _page_setup(args: argparse.Namespace) -> PageConstants:
+def _page_setup(args: SimpleNamespace) -> PageConstants:
     return page_constants(path=args.page_config) if args.page_config else _default_constants()
 
 
@@ -283,7 +284,7 @@ def _index_row(r: float, report: IndexNullityReport) -> tuple:
     return r, report.index, report.nullity, report.first_shifted, report.truncation_bound
 
 
-def handle_index(args: argparse.Namespace) -> Table:
+def handle_index(args: SimpleNamespace) -> Table:
     """Index and nullity rows at --r, along --scan, or the page --roots.
 
     A row costs one integer merge of --depth distinct values plus float
@@ -331,7 +332,7 @@ def _scan_grid(scan: list[float], upper: float | None = None) -> list[float]:
     return [rmin + k * step for k in range(n - 1)] + [rmax]
 
 
-def handle_plotdata(args: argparse.Namespace) -> Table:
+def handle_plotdata(args: SimpleNamespace) -> Table:
     if args.figure == "fig1":
         comments = [
             "eleven smallest distinct nonzero eigenvalues of g_B^t, ascending at each t",
@@ -367,90 +368,193 @@ def handle_plotdata(args: argparse.Namespace) -> Table:
     return comments, fields, list(zip(*rows))
 
 
-def _fraction(text: str) -> Fraction:
-    """An exact rational from "1/2", "0.2" or "1e-3", as an argparse type.
+class _Opt(_Record):
+    """One entry of an option table: how the words of a flag, or of a positional, are read.
 
-    argparse turns only ValueError and TypeError from a type into a usage
-    error, so a zero denominator is reported here.
+    `nargs` words, 0 for a switch, each read by `type`; a str default is
+    read the same way, only when the flag is absent.
     """
+
+    _fields = ("type", "default", "nargs", "choices", "required", "help")
+
+    def __init__(self, type=str, default=None, nargs=1, choices=(), required=False, help="") -> None:
+        self.__dict__.update(type=type, default=default, nargs=nargs, choices=choices)
+        self.__dict__.update(required=required, help=help)
+
+
+# One option table per subcommand maps each flag, or the name of its one
+# positional (no leading '-'), to its entry.  Fraction reads "1/2", "0.2" and
+# "1e-3" exactly; floats would smuggle binary rounding into the exact columns.
+_HELP = _Opt(nargs=0, help="print this text and exit (also -h)")
+_PAGE_CONFIG = _Opt(help="alternate constants file")
+_SHARED = {  # the flags of every subcommand
+    "--format": _Opt(default="csv", choices=("csv", "json")),
+    "--precision": _Opt(int, help="significant digits for real columns"),
+    "--output": _Opt(help="write to this path instead of stdout (also -o)"),
+    "--help": _HELP,
+}
+COMMANDS = {
+    "sphere": {"--dim": _Opt(int, required=True), "--kmax": _Opt(int, required=True), **_SHARED},
+    "berger": {
+        "--t": _Opt(Fraction),
+        "--epsilon": _Opt(Fraction),
+        "--count": _Opt(int, 12),
+        "--with-multiplicity": _Opt(default=False, nargs=0),
+        **_SHARED,
+    },
+    "piecewise": {
+        "--index": _Opt(int, help="position among distinct nonzero values"),
+        "--slot": _Opt(int, help="curve number in the eleven-curve table"),
+        "--xmax": _Opt(Fraction, "20"),
+        **_SHARED,
+    },
+    "index": {
+        "space": _Opt(choices=("cp2", "page"), required=True),
+        "--r": _Opt(float),
+        "--scan": _Opt(float, nargs=3, help="RMIN RMAX STEPS: STEPS radii from RMIN to RMAX"),
+        "--roots": _Opt(default=False, nargs=0, help="print the two page transition roots"),
+        "--depth": _Opt(int, 25),
+        "--tol": _Opt(float, 1e-6),
+        "--page-config": _PAGE_CONFIG,
+        **_SHARED,
+    },
+    "plotdata": {
+        "figure": _Opt(choices=("fig1", "fig2", "fig3"), required=True),
+        "--page-config": _PAGE_CONFIG,
+        **_SHARED,
+    },
+}
+_ROOT, _SHORT = {"--help": _HELP}, {"-h": "--help", "-o": "--output"}
+_NUMBER = re.compile(r"-(?:\.?\d|inf|nan)", re.IGNORECASE).match  # a value, though it starts with '-'
+
+
+def _fail(message: str):
+    print(f"bergerspec: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _option(table: dict, word: str) -> tuple | None:
+    """(flag, text after '=' or None) if `word` is an option, as argparse reads it, else None.
+
+    A flag not in the table is an unknown option; an ambiguous prefix is refused.
+    """
+    if word[:1] != "-" or len(word) < 2 or word == "--":
+        return None
+    if word[1] == "-":
+        name, eq, text = word.partition("=")
+        flags = [name] if name in table else [flag for flag in table if flag.startswith(name)]
+        if len(flags) > 1:
+            _fail(f"ambiguous option: {word} could match {', '.join(flags)}")
+        if flags:
+            return flags[0], text if eq else None
+    elif _SHORT.get(word[:2]) in table:  # -o, -oTEXT or -o=TEXT
+        return _SHORT[word[:2]], word[3:] if word[2:3] == "=" else word[2:] or None
+    return None if _NUMBER(word) or " " in word else (word, None)
+
+
+def _value(flag: str, opt: _Opt, text: str):
     try:
-        return Fraction(text)
+        value = opt.type(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and sum(map(str.isdecimal, text)) > limit:  # too long to echo
+            _fail(f"{flag} needs more than {limit} digits to read exactly")
+        _fail(f"argument {flag}: invalid {opt.type.__name__} value: {text!r}")
+    if opt.choices and value not in opt.choices:
+        _fail(f"argument {flag}: invalid choice: {value!r} (choose from {str(opt.choices)[1:-1]})")
+    return value
 
 
-def _add_output_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--precision", type=int, default=None, help="significant digits for real columns")
-    p.add_argument("--output", "-o", default=None, help="write to this path instead of stdout")
+def _read(command: str, argv: list[str]) -> dict:
+    """{dest: value} for every entry of the subcommand's table, given or default.
+
+    Every word is classified before any is read, so an ambiguous prefix is
+    refused first; the words after "--" are values.  A repeated option
+    keeps its last value.
+    """
+    table, given, extra, i = COMMANDS[command], {}, [], 0
+    k = argv.index("--") if "--" in argv else len(argv)
+    words = [(w, _option(table, w)) for w in argv[:k]] + [(w, None) for w in argv[k + 1 :]]
+    while i < len(words):
+        word, found = words[i]
+        i += 1
+        # a value is the positional's until it has one, and an unknown word after that
+        flag, text = found or (next((f for f in table if f[0] != "-" and f not in given), None), word)
+        opt = table.get(flag)
+        if opt is None:  # an unknown option, or a value past the positional
+            extra.append(word)
+        elif opt is _HELP:
+            print(_usage(command))
+            raise SystemExit(0)
+        elif not opt.nargs:
+            if text is not None:
+                _fail(f"argument {flag}: ignored explicit argument {text!r}")
+            given[flag] = True
+        else:
+            texts = [text] if text is not None else [w for w, f in words[i : i + opt.nargs] if f is None]
+            if len(texts) != opt.nargs:
+                _fail(f"argument {flag}: expected {'one argument' if opt.nargs == 1 else f'{opt.nargs} arguments'}")
+            if text is None:
+                i += opt.nargs
+            values = [_value(flag, opt, t) for t in texts]
+            given[flag] = values if opt.nargs > 1 else values[0]
+    missing = [flag for flag, opt in table.items() if opt.required and flag not in given]
+    if missing:
+        _fail(f"the following arguments are required: {', '.join(missing)}")
+    if extra:
+        _fail(f"unrecognized arguments: {' '.join(extra)}")
+    for flag, opt in table.items():
+        if flag not in given:
+            given[flag] = _value(flag, opt, opt.default) if isinstance(opt.default, str) else opt.default
+    return {flag.lstrip("-").replace("-", "_"): value for flag, value in given.items() if flag != "--help"}
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser that takes "-1e-3", "-1/2", "-inf" and "-nan" as values.
+def _usage(command: str | None) -> str:
+    """The --help text of the root (None) or of a subcommand, from the option tables."""
+    if command is None:
+        return f"usage: bergerspec {{{','.join(COMMANDS)}}} ...\n\n" + "\n\n".join(__doc__.split("\n\n")[:2])
+    lines = [f"usage: bergerspec {command} [options]"]
+    for flag, opt in COMMANDS[command].items():
+        value = "{" + ",".join(opt.choices) + "}" if opt.choices else flag.lstrip("-").upper() if opt.nargs else ""
+        default = f"(default {opt.default})" if opt.default else ""
+        notes = (opt.help, default, "(required)" if opt.required else "")
+        spelling = value if flag[0] != "-" else f"{flag} {value}"
+        lines.append(f"  {spelling:<26} {' '.join(filter(None, notes))}")
+    return "\n".join(line.rstrip() for line in lines)
 
-    argparse's own private `_negative_number_matcher` knows only "-3" and
-    "-0.5", and reads any other negative value as an unknown option.
-    Subparsers are built with this class.
+
+class _Parser:
+    """Reads argv by the option tables into the namespace the handlers get, as argparse did.
+
+    --help prints `_usage` and exits 0; a refused argv prints one stderr
+    line, "bergerspec: error: ...", and exits 2.
     """
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-(?:\.?\d|inf|nan)", re.IGNORECASE)
+    def parse_args(self, argv: list[str] | None = None) -> SimpleNamespace:
+        argv = sys.argv[1:] if argv is None else list(argv)
+        # the first value names the subcommand, and the words after it are its own
+        i = next((i for i, word in enumerate(argv) if _option(_ROOT, word) is None), len(argv))
+        if any(_option(_ROOT, word)[0] == "--help" for word in argv[:i]):
+            print(_usage(None))
+            raise SystemExit(0)
+        if i == len(argv):
+            _fail("the following arguments are required: command")
+        if argv[i] not in COMMANDS:
+            choices = str(tuple(COMMANDS))[1:-1]
+            _fail(f"argument command: invalid choice: {argv[i]!r} (choose from {choices})")
+        values = _read(argv[i], argv[i + 1 :])
+        if i:
+            _fail(f"unrecognized arguments: {' '.join(argv[:i])}")
+        return SimpleNamespace(command=argv[i], **values)
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by later calls.
-
-    Parsing leaves the parser unchanged, so one parser serves every `main`
-    call of a process.  It names no handler: `main` looks the handler up
-    by subcommand when it runs.
-    """
-    parser = _Parser(
-        prog="bergerspec",
-        description="Exact Berger sphere spectra and Jacobi index profiles",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sphere", help="round p-sphere Laplace spectrum")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--kmax", type=int, required=True)
-    _add_output_flags(p)
-
-    p = sub.add_parser("berger", help="Berger sphere spectrum at fixed t or epsilon")
-    # Fraction parses "1/2", "0.2" and "1e-3" exactly; floats would smuggle
-    # binary rounding into the exact columns
-    p.add_argument("--t", type=_fraction, default=None)
-    p.add_argument("--epsilon", type=_fraction, default=None)
-    p.add_argument("--count", type=int, default=12)
-    p.add_argument("--with-multiplicity", action="store_true")
-    _add_output_flags(p)
-
-    p = sub.add_parser("piecewise", help="branch partition of one eigenvalue curve")
-    p.add_argument("--index", type=int, default=None, help="position among distinct nonzero values")
-    p.add_argument("--slot", type=int, default=None, help="curve number in the eleven-curve table")
-    p.add_argument("--xmax", type=_fraction, default="20")
-    _add_output_flags(p)
-
-    p = sub.add_parser("index", help="Jacobi index/nullity profiles")
-    p.add_argument("space", choices=("cp2", "page"))
-    p.add_argument("--r", type=float, default=None)
-    p.add_argument("--scan", type=float, nargs=3, metavar=("RMIN", "RMAX", "STEPS"), default=None)
-    p.add_argument("--roots", action="store_true", help="print the two page transition roots")
-    p.add_argument("--depth", type=int, default=25)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--page-config", default=None, help="alternate constants file")
-    _add_output_flags(p)
-
-    p = sub.add_parser("plotdata", help="dense data behind the standard figures")
-    p.add_argument("figure", choices=("fig1", "fig2", "fig3"))
-    p.add_argument("--page-config", default=None, help="alternate constants file")
-    _add_output_flags(p)
-
-    return parser
+def build_parser() -> _Parser:
+    """The parser of the option tables: nothing is built, and one parser serves every `main` call."""
+    return _Parser()
 
 
-def _resolve_request(args: argparse.Namespace) -> OutputRequest:
+def _resolve_request(args: SimpleNamespace) -> OutputRequest:
     precision = args.precision
     if precision is None:
         env = os.environ.get(PRECISION_ENV)

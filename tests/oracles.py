@@ -4,7 +4,9 @@ None of these is reached by the command line or by the acceptance
 criteria, so they live with the tests and not in `bergerspec`.
 """
 
+import argparse
 import math
+import re
 from fractions import Fraction
 
 from bergerspec.berger import Mode, _check_positive, _known_mode
@@ -48,3 +50,70 @@ def synthetic_slice(r: float) -> SliceGeometry:
 def w2(geom: SliceGeometry) -> float:
     """The sigma_3^2 coefficient f / x of a slice."""
     return float(Fraction(geom.f) / geom.x)
+
+
+def _fraction(text: str) -> Fraction:
+    """An exact rational from "1/2", "0.2" or "1e-3", as an argparse type."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser that takes "-1e-3", "-1/2", "-inf" and "-nan" as values."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(?:\.?\d|inf|nan)", re.IGNORECASE)
+
+
+def _add_output_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--precision", type=int, default=None, help="significant digits for real columns")
+    p.add_argument("--output", "-o", default=None, help="write to this path instead of stdout")
+
+
+def argparse_parser() -> argparse.ArgumentParser:
+    """The argparse parser that read the command line before the option tables did.
+
+    The option tables of `bergerspec.cli` must read every well-formed
+    argv to the same namespace, and refuse every argv this refuses.
+    """
+    parser = _ArgumentParser(prog="bergerspec", description="Exact Berger sphere spectra and Jacobi index profiles")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("sphere", help="round p-sphere Laplace spectrum")
+    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--kmax", type=int, required=True)
+    _add_output_flags(p)
+
+    p = sub.add_parser("berger", help="Berger sphere spectrum at fixed t or epsilon")
+    p.add_argument("--t", type=_fraction, default=None)
+    p.add_argument("--epsilon", type=_fraction, default=None)
+    p.add_argument("--count", type=int, default=12)
+    p.add_argument("--with-multiplicity", action="store_true")
+    _add_output_flags(p)
+
+    p = sub.add_parser("piecewise", help="branch partition of one eigenvalue curve")
+    p.add_argument("--index", type=int, default=None, help="position among distinct nonzero values")
+    p.add_argument("--slot", type=int, default=None, help="curve number in the eleven-curve table")
+    p.add_argument("--xmax", type=_fraction, default="20")
+    _add_output_flags(p)
+
+    p = sub.add_parser("index", help="Jacobi index/nullity profiles")
+    p.add_argument("space", choices=("cp2", "page"))
+    p.add_argument("--r", type=float, default=None)
+    p.add_argument("--scan", type=float, nargs=3, metavar=("RMIN", "RMAX", "STEPS"), default=None)
+    p.add_argument("--roots", action="store_true", help="print the two page transition roots")
+    p.add_argument("--depth", type=int, default=25)
+    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--page-config", default=None, help="alternate constants file")
+    _add_output_flags(p)
+
+    p = sub.add_parser("plotdata", help="dense data behind the standard figures")
+    p.add_argument("figure", choices=("fig1", "fig2", "fig3"))
+    p.add_argument("--page-config", default=None, help="alternate constants file")
+    _add_output_flags(p)
+
+    return parser

@@ -1,11 +1,9 @@
-import argparse
 import contextlib
 import csv
 import io
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 import tracemalloc
@@ -17,6 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from bergerspec import cli
 from bergerspec.cli import _scan_grid, build_parser, main
 
 
@@ -178,6 +177,27 @@ def test_exact_value_too_long_to_print_names_the_flag(capsys, argv, flag):
     assert err == f"bergerspec: {flag} needs more than {limit} digits to print exactly\n"
 
 
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="this interpreter reads ints of any length")
+@pytest.mark.parametrize(
+    "argv, form",
+    [
+        *[(argv, form) for argv in (["berger", "--t"], ["berger", "--epsilon"], ["piecewise", "--index", "2", "--xmax"])
+          for form in ("{}", "0.{}", "1/{}", "-{}e3")],
+        (["berger", "--t", "1", "--count"], "{}"),
+        (["berger", "--t", "1", "--count"], "-{}"),
+    ],
+)
+def test_a_literal_past_the_digit_limit_is_one_line_naming_the_flag(capsys, argv, form):
+    # a valid literal that only int() refuses to read, as it would refuse to print it
+    literal = form.format("1" * (_DIGIT_LIMIT + 700))
+    code, out, err = run(capsys, *argv, literal)
+    assert (code, out) == (2, "")
+    assert err == f"bergerspec: error: {argv[-1]} needs more than {_DIGIT_LIMIT} digits to read exactly\n"
+
+
 @pytest.mark.parametrize("slot", ["0", "12", "-1"])
 def test_piecewise_slot_out_of_range_names_the_flag(capsys, slot):
     code, out, err = run(capsys, "piecewise", "--slot", slot)
@@ -328,11 +348,34 @@ def test_a_dash_that_is_no_number_is_still_an_unknown_option(capsys):
     assert err.endswith("error: argument --r: expected one argument\n")
 
 
-def test_argparse_still_has_the_negative_number_matcher():
-    # the parser sets this private attribute; if argparse stops reading it,
-    # negative exponents, fractions and -inf are read as options again
-    assert isinstance(argparse.ArgumentParser()._negative_number_matcher, re.Pattern)
-    assert build_parser()._negative_number_matcher.match("-1/2")
+_COMMAND_BASES = {
+    "sphere": ["sphere", "--dim", "3", "--kmax", "2"],
+    "berger": ["berger"],
+    "piecewise": ["piecewise"],
+    "index": ["index", "cp2"],
+    "plotdata": ["plotdata", "fig1"],
+}
+
+
+@pytest.mark.parametrize("text", ["-3", "-.5", "-1e-3", "-1/2", "-inf", "-NaN"])
+def test_negative_numbers_are_values_of_every_option_that_takes_one(capsys, text):
+    # each is read as the option's value, then kept or refused by its type or
+    # choices; none is taken for an unknown option or a missing value
+    options = [(c, f, o) for c, table in cli.COMMANDS.items() for f, o in table.items() if o.nargs and f[0] == "-"]
+    assert {f for _, f, _ in options} >= {"--t", "--epsilon", "--xmax", "--r", "--scan", "--tol", "--output"}
+    for command, flag, opt in options:
+        argv = [*_COMMAND_BASES[command], flag, *[text] * opt.nargs]  # --scan takes three
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            err = capsys.readouterr().err
+            assert exc.code == 2, argv
+            assert err.startswith(f"bergerspec: error: argument {flag}: invalid "), (argv, err)
+            assert f"{text!r}" in err, (argv, err)
+        else:
+            want = [opt.type(text)] * opt.nargs
+            value = getattr(args, flag[2:].replace("-", "_"))
+            assert repr(value) == repr(want if opt.nargs > 1 else want[0]), argv
 
 
 def test_index_mode_exclusivity(capsys):
@@ -684,7 +727,8 @@ def test_cold_import_loads_no_module_it_does_not_use():
     src = str(Path(__file__).resolve().parents[1] / "src")
     probe = (
         f"import sys; sys.path.insert(0, {src!r}); import bergerspec.cli; "
-        "print(*sorted({'csv', 'dataclasses', 'inspect', 'json', 'importlib.resources', 'typing'}"
+        "print(*sorted({'argparse', 'csv', 'dataclasses', 'gettext', 'inspect', 'json', 'importlib.resources',"
+        " 'typing'}"
         " & set(sys.modules)))"
     )
     proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, timeout=60)
