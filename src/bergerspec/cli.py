@@ -287,9 +287,9 @@ def _index_row(r: float, report: IndexNullityReport) -> tuple:
 def handle_index(args: SimpleNamespace) -> Table:
     """Index and nullity rows at --r, along --scan, or the page --roots.
 
-    A row costs one integer merge of --depth distinct values plus float
-    arithmetic, so a --scan RMIN RMAX STEPS costs one such merge per step:
-    its cost is proportional to its output.
+    A row costs one integer merge of --depth distinct values plus the few
+    values it prints (`slice_index_nullity`), so a --scan RMIN RMAX STEPS
+    costs one such merge per step: its cost is proportional to its output.
     """
     if (args.r is not None) + (args.scan is not None) + args.roots != 1:
         raise ValueError("exactly one of --r, --scan, --roots is required")
@@ -452,11 +452,34 @@ def _option(table: dict, word: str) -> tuple | None:
     return None if _NUMBER(word) or " " in word else (word, None)
 
 
-def _value(flag: str, opt: _Opt, text: str):
+def _exact_fraction(flag: str, text: str, limit: int) -> Fraction:
+    """Fraction(text), refused unbuilt if its decimal exponent passes twice the digit limit.
+
+    A literal that reads has at most `limit` digits on each side of its
+    point, so past that exponent a nonzero value, and the x made from it,
+    has a term too long to print: the handler would refuse it only after
+    expanding it in full (2 s for 1e1000000).  The refusal is the handler's
+    line and exit code; a zero mantissa is read as 0.
+    """
+    head, e, exponent = text.replace("E", "e").rpartition("e")
     try:
-        value = opt.type(text)
+        huge = bool(limit and e) and abs(int(exponent)) > 2 * limit
+    except ValueError:  # not an exponent, or too long for int(): Fraction refuses it
+        huge = False
+    if not huge:
+        return Fraction(text)
+    mantissa = Fraction(head + e + re.sub(r"\d", "0", exponent))  # the same literal at exponent 0
+    if mantissa:
+        print(f"bergerspec: {flag} needs more than {limit} digits to print exactly", file=sys.stderr)
+        raise SystemExit(2)
+    return mantissa
+
+
+def _value(flag: str, opt: _Opt, text: str):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    try:
+        value = _exact_fraction(flag, text, limit) if opt.type is Fraction else opt.type(text)
     except (ValueError, ZeroDivisionError):
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if limit and sum(map(str.isdecimal, text)) > limit:  # too long to echo
             _fail(f"{flag} needs more than {limit} digits to read exactly")
         _fail(f"argument {flag}: invalid {opt.type.__name__} value: {text!r}")

@@ -15,6 +15,8 @@ value seen, so a truncated spectrum certifies its own completeness
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from .berger import SpectrumEntry, _check_positive, _Record
 
 _SUPPORTED_VALIDITY = ("hypersurface", "constant-curvature")
@@ -107,51 +109,60 @@ def index_nullity(
 ) -> IndexNullityReport:
     """Count negative and zero Jacobi eigenvalues with multiplicity.
 
-    `jacobi` holds the shifted values.  The optional `shift` is used only
-    to reconstruct the unshifted eigenvalue column of the witnesses; pass
-    the ambient's s/n when available.
+    `jacobi` holds the shifted values, ascending; a NaN among two or more
+    of them has no place in that order and is refused with it.  The
+    optional `shift` is used only to reconstruct the unshifted eigenvalue
+    column of the witnesses; pass the ambient's s/n when available.
     """
+    values = [e.value for e in jacobi]
+    _check_positive(zero_tolerance, "zero_tolerance")
+    if not values:
+        raise ValueError("empty Jacobi spectrum")
+    if not all(a <= b for a, b in zip(values, values[1:])):
+        raise ValueError("Jacobi spectrum must be sorted ascending")
     return _count_index_nullity(
-        [e.value for e in jacobi],
-        [e.multiplicity for e in jacobi],
-        zero_tolerance,
-        parameter=parameter,
-        shift=shift,
+        jacobi, lambda e: e.value, lambda e: e.multiplicity, zero_tolerance, parameter=parameter, shift=shift
     )
 
 
 def _count_index_nullity(
-    values: list[float],
-    multiplicities: list[int],
+    entries: list,
+    value: Callable[..., float],
+    multiplicity: Callable[..., int],
     zero_tolerance: float,
     *,
     parameter: float,
     shift: float,
 ) -> IndexNullityReport:
-    """index_nullity on the shifted values and their multiplicities."""
-    _check_positive(zero_tolerance, "zero_tolerance")
-    if not values:
-        raise ValueError("empty Jacobi spectrum")
-    if values != sorted(values):
-        raise ValueError("Jacobi spectrum must be sorted ascending")
+    """The report on `entries`, whose shifted values `value(entry)` ascend.
+
+    The one counting loop of index_nullity and slice_index_nullity; each
+    checks its input first.  The count stops at the first value not
+    within zero_tolerance from above: the values ascend, so no later one
+    is counted, and none is computed.  `multiplicity(entry)` is taken only
+    for a counted entry.
+    """
     index = 0
     nullity = 0
     witnesses: list[tuple[float, int, float]] = []
-    for value, mult in zip(values, multiplicities):
-        if value < -zero_tolerance:
+    for entry in entries:
+        shifted = value(entry)
+        if not shifted <= zero_tolerance:
+            break
+        mult = multiplicity(entry)
+        if shifted < -zero_tolerance:
             index += mult
-            witnesses.append((value + shift, mult, value))
-        elif abs(value) <= zero_tolerance:
+        else:
             nullity += mult
-            witnesses.append((value + shift, mult, value))
+        witnesses.append((shifted + shift, mult, shifted))
     return IndexNullityReport(
         parameter=parameter,
         index=index,
         nullity=nullity,
         witnesses=tuple(witnesses),
         zero_tolerance=zero_tolerance,
-        truncation_bound=values[-1],
-        first_shifted=values[1] if len(values) > 1 else None,
+        truncation_bound=value(entries[-1]),
+        first_shifted=value(entries[1]) if len(entries) > 1 else None,
     )
 
 

@@ -89,28 +89,38 @@ def slice_spectrum(geom: SliceGeometry, depth: int = DEFAULT_DEPTH) -> list[Spec
     ]
 
 
-def _shifted_spectrum(
+def _slice_merge(
     geom: SliceGeometry, depth: int, shift: float
-) -> tuple[list[float], list[tuple[int, list[tuple[int, int]]]]]:
-    """The first `depth` distinct slice eigenvalues minus `shift`, and the merge behind them.
+) -> tuple[list[tuple[int, list[tuple[int, int]]]], Callable[[tuple], float]]:
+    """The merge groups (n, pairs) of the first `depth` distinct slice values, and their value function.
 
-    Every slice value is computed here.  With x = P/Q one integer merge
-    (`_merge`, whose groups are returned as they are) yields numerators n
-    over Q, and each value is n / Q / f - shift, where the float n / Q of
-    two ints is correctly rounded.  A value that is not finite (n / Q / f
-    overflows for f near the bottom of the float range) is a domain error
-    that names r: an inf bound would pass certification.
+    Every slice value is computed by the value function.  With x = P/Q one
+    integer merge (`_merge`) yields numerators n over Q, and a group's
+    value is n / Q / f - shift: the float n / Q of two ints is correctly
+    rounded, and so are / f and - shift, so the values ascend as the
+    numerators do.  A last value that is not finite (n / Q / f overflows
+    for f near the bottom of the float range) is a domain error that
+    names r: an inf bound would pass certification.
     """
     _check_count(depth, "depth")
     Q, f = geom.x.denominator, geom.f
     groups = _merge(geom.x.numerator, Q, depth)
-    shifted = [n / Q / f - shift for n, _ in groups]
-    if not math.isfinite(shifted[-1]):
+    value = lambda group: group[0] / Q / f - shift  # noqa: E731  (a closure: no attribute lookups per call)
+    bound = value(groups[-1])
+    if not math.isfinite(bound):
         raise ValueError(
             f"slice parameter r = {geom.r!r} is out of range: "
-            f"shifted eigenvalue {shifted[-1]!r} is not finite at depth {depth}"
+            f"shifted eigenvalue {bound!r} is not finite at depth {depth}"
         )
-    return shifted, groups
+    return groups, value
+
+
+def _shifted_spectrum(
+    geom: SliceGeometry, depth: int, shift: float
+) -> tuple[list[float], list[tuple[int, list[tuple[int, int]]]]]:
+    """The first `depth` distinct slice eigenvalues minus `shift`, and the merge groups behind them."""
+    groups, value = _slice_merge(geom, depth, shift)
+    return list(map(value, groups)), groups
 
 
 def slice_index_nullity(
@@ -122,21 +132,23 @@ def slice_index_nullity(
 
     The report, or the ValueError, is the one index_nullity gives for
     jacobi_spectrum(slice_spectrum(geom, depth), shift), at the cost of
-    one integer merge of `depth` distinct values plus float arithmetic
-    (`_shifted_spectrum`, which computes slice_spectrum's values too).
+    one integer merge of `depth` distinct values plus the few values the
+    report prints: the first two, the last (the truncation bound) and the
+    counted prefix, up to the first value above zero_tolerance.  Only
+    the counted entries sum their multiplicities, and the order is
+    checked on the exact merge numerators, which the values follow.
     """
     shift = jacobi_shift(geom.ambient)
     if zero_tolerance is None:
         zero_tolerance = 1e-9 * max(1.0, abs(shift))
-    shifted, groups = _shifted_spectrum(geom, depth, shift)
-    if shifted[0] != -shift:
+    groups, value = _slice_merge(geom, depth, shift)
+    if value(groups[0]) != -shift:
         raise ValueError("laplace spectrum must contain the zero eigenvalue")
+    _check_positive(zero_tolerance, "zero_tolerance")
+    if groups != sorted(groups):  # by numerator
+        raise ValueError("Jacobi spectrum must be sorted ascending")
     report = _count_index_nullity(
-        shifted,
-        [_total_multiplicity(pairs) for _, pairs in groups],
-        zero_tolerance,
-        parameter=geom.r,
-        shift=shift,
+        groups, value, lambda group: _total_multiplicity(group[1]), zero_tolerance, parameter=geom.r, shift=shift
     )
     if report.truncation_bound <= zero_tolerance:
         raise ValueError(

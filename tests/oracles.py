@@ -9,7 +9,7 @@ import math
 import re
 from fractions import Fraction
 
-from bergerspec.berger import Mode, _check_positive, _known_mode
+from bergerspec.berger import Mode, SpectrumEntry, _check_positive, _known_mode
 from bergerspec.jacobi import EinsteinAmbient
 from bergerspec.slices import SliceGeometry
 
@@ -32,6 +32,21 @@ def mode_value(m: Mode, t: float) -> float:
 def mode_multiplicity(m: Mode) -> int:
     """Multiplicity k+1 for q = 0, else 2(k+1), written out apart from `_total_multiplicity`."""
     return m.k + 1 if m.q == 0 else 2 * (m.k + 1)
+
+
+def full_count(jacobi: list[SpectrumEntry], zero_tolerance: float, shift: float) -> tuple:
+    """(index, nullity, witnesses) of a Jacobi spectrum, by a test of every entry with no early exit."""
+    index = nullity = 0
+    witnesses = []
+    for e in jacobi:
+        if e.value < -zero_tolerance:
+            index += e.multiplicity
+        elif abs(e.value) <= zero_tolerance:
+            nullity += e.multiplicity
+        else:
+            continue
+        witnesses.append((e.value + shift, e.multiplicity, e.value))
+    return index, nullity, tuple(witnesses)
 
 
 def synthetic_slice(r: float) -> SliceGeometry:

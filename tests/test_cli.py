@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from importlib import resources
@@ -178,6 +179,42 @@ def test_exact_value_too_long_to_print_names_the_flag(capsys, argv, flag):
 
 
 _DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="this interpreter prints ints of any length")
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["berger", "--t", "1e1000000", "--count", "3"], "--t"),
+        (["berger", "--t", "1e-1000000"], "--t"),
+        (["berger", "--epsilon", "1e-1000000"], "--epsilon"),
+        (["piecewise", "--index", "2", "--xmax", "1e1000000"], "--xmax"),
+    ],
+)
+def test_a_huge_exponent_is_refused_before_the_value_is_expanded(capsys, argv, flag):
+    # the line the handler gives once the value is built, which took about
+    # 2 s for these literals; past twice the limit no nonzero value prints
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err == f"bergerspec: {flag} needs more than {_DIGIT_LIMIT} digits to print exactly\n"
+
+
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="this interpreter prints ints of any length")
+def test_an_exponent_past_the_limit_is_read_when_the_value_prints(capsys):
+    # within twice the limit the mantissa's zeros can cancel it: x_max = 10^-400
+    literal = "1" + "0" * (_DIGIT_LIMIT - 300) + f"e-{_DIGIT_LIMIT + 100}"
+    code, out, err = run(capsys, "piecewise", "--index", "1", "--xmax", literal)
+    assert (code, err) == (0, "")
+    assert f"on (0, 1/1{'0' * 400}]" in out
+
+
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="this interpreter prints ints of any length")
+def test_a_zero_mantissa_with_a_huge_exponent_is_zero(capsys):
+    for literal in ("0e1000000", "-0.0e-1000000"):
+        code, out, err = run(capsys, "berger", "--t", literal)
+        assert (code, out, err) == (2, "", "bergerspec: --t must be positive, got 0\n")
 
 
 @pytest.mark.skipif(not _DIGIT_LIMIT, reason="this interpreter reads ints of any length")

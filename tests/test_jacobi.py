@@ -15,6 +15,7 @@ from bergerspec.jacobi import (
     jacobi_shift,
     jacobi_spectrum,
 )
+from oracles import full_count
 
 CP2 = EinsteinAmbient(n=4, s=6.0, validity="hypersurface", name="CP^2")
 PAGE_S = 12.952268
@@ -94,6 +95,30 @@ def test_index_nullity_validation():
             index_nullity([SpectrumEntry(0.0, 1)], tol)
     with pytest.raises(ValueError):
         index_nullity([SpectrumEntry(2.0, 1), SpectrumEntry(-1.0, 1)], 1e-9)
+
+
+def test_index_nullity_refuses_a_nan_among_its_values():
+    # the count stops at the first value above the tolerance, so a NaN that
+    # hides an unsorted spectrum from sorted() is refused, not skipped
+    nan = float("nan")
+    for values in ([-1.0, nan, -0.5], [5.0, nan, -1.0], [nan, 0.0], [0.0, nan]):
+        with pytest.raises(ValueError, match="sorted ascending"):
+            index_nullity([SpectrumEntry(v, 1) for v in values], 1e-9)
+    rep = index_nullity([SpectrumEntry(nan, 3)], 1e-9)  # alone it is in order, and not counted
+    assert (rep.index, rep.nullity, rep.witnesses) == (0, 0, ())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(st.floats(min_value=-4.0, max_value=4.0), min_size=1, max_size=12),
+    multiplicities=st.lists(st.integers(min_value=1, max_value=9), min_size=12, max_size=12),
+    zero_tolerance=st.floats(min_value=1e-12, max_value=2.0),
+    shift=st.floats(min_value=-3.0, max_value=3.0),
+)
+def test_index_nullity_matches_a_count_over_every_entry(values, multiplicities, zero_tolerance, shift):
+    jacobi = [SpectrumEntry(v, m) for v, m in zip(sorted(values), multiplicities)]
+    rep = index_nullity(jacobi, zero_tolerance, shift=shift)
+    assert repr((rep.index, rep.nullity, rep.witnesses)) == repr(full_count(jacobi, zero_tolerance, shift))
 
 
 def test_is_unstable():

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bergerspec import slices
-from bergerspec.berger import Mode, _merge, distinct_spectrum_at, tanno_lambda1
+from bergerspec.berger import Mode, _merge, _total_multiplicity, distinct_spectrum_at, tanno_lambda1
 from bergerspec.jacobi import IndexNullityReport, index_nullity, jacobi_shift, jacobi_spectrum
 from bergerspec.page import page_constants, page_slice, page_transition_roots
 from bergerspec.slices import (
@@ -21,7 +21,7 @@ from bergerspec.slices import (
     slice_index_nullity,
     slice_spectrum,
 )
-from oracles import mode_multiplicity, synthetic_slice, w2
+from oracles import full_count, mode_multiplicity, synthetic_slice, w2
 
 
 def test_cp2_slice_at_one():
@@ -210,6 +210,11 @@ def _assert_same_report(geom, depth, zero_tolerance=None):
     for name in IndexNullityReport._fields:
         assert getattr(got, name) == getattr(want, name), name
     assert repr(got) == repr(want)  # also tells -0.0 from 0.0
+    # both paths stop counting at the first value above the tolerance: check
+    # them against a count over every entry
+    shift = jacobi_shift(geom.ambient)
+    counted = full_count(jacobi_spectrum(slice_spectrum(geom, depth), shift), got.zero_tolerance, shift)
+    assert repr((got.index, got.nullity, got.witnesses)) == repr(counted)
     return got
 
 
@@ -292,6 +297,30 @@ def test_slice_index_nullity_matches_at_the_page_roots():
             rep = _assert_same_report(page_slice(r, _PAGE), depth, zero_tolerance=1e-5)
             assert (rep.index, rep.nullity) == (1, 4)
             assert [m for _, m, _ in rep.witnesses] == [1, 4]
+
+
+def test_a_row_sums_and_computes_only_what_its_report_holds():
+    # the report holds the first two values, the last and the counted prefix
+    # (one entry for cp2, two for Page between its roots); the other of the
+    # 25 values are not computed, and only the counted entries sum multiplicities
+    r1, r2 = page_transition_roots(1e-6, _PAGE)
+    slice_merge, sums, values = slices._slice_merge, [], []
+
+    def counting_merge(geom, depth, shift):
+        groups, value = slice_merge(geom, depth, shift)
+        return groups, lambda group: values.append(group) or value(group)
+
+    for geom, counted in ((cp2_slice(1.0), 1), (page_slice((r1 + r2) / 2, _PAGE), 2)):
+        sums.clear()
+        values.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(slices, "_total_multiplicity", lambda pairs: sums.append(pairs) or _total_multiplicity(pairs))
+            mp.setattr(slices, "_slice_merge", counting_merge)
+            rep = slice_index_nullity(geom, 25)
+        assert rep == _assert_same_report(geom, 25)
+        assert len(sums) == len(rep.witnesses) == counted
+        assert [m for _, m, _ in rep.witnesses] == [_total_multiplicity(pairs) for pairs in sums]
+        assert len(values) <= counted + 4  # the first, the counted ones and the next, the last and the second
 
 
 def test_slice_index_nullity_rejects_bad_depth_and_tolerance():
