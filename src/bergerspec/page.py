@@ -140,7 +140,15 @@ class PageConstants(_Record):
         return 1 + (g < 0) - (g > 0)
 
     def validate(self) -> None:
-        """Check every load-time anchor; raise PageConfigError on failure."""
+        """Check the load-time anchors; raise PageConfigError on failure.
+
+        f_const, C and D must be finite and positive, a must solve the
+        quartic to a residual of 1e-12, 12(1+a^2) must lie in [12.95, 12.96]
+        and D^2 must equal C.  The last two checks, sqrt(C/V) = D/U and the
+        squash formula at three radii, are identities once D^2 = C holds, so
+        they test only float rounding.  Nothing checks f_const beyond its
+        sign: a wrong f_const loads, and only the roots it moves show it.
+        """
         for name, value in (("f_const", self.f_const), ("C", self.C), ("D", self.D)):
             if not 0 < value < math.inf:
                 raise PageConfigError(f"{name} = {value!r} is not finite and positive")
@@ -176,8 +184,15 @@ def _parse_config(text: str) -> dict[str, float]:
         if "=" not in line:
             raise PageConfigError(f"line {lineno}: expected key = value, got {raw!r}")
         key, _, rhs = line.partition("=")
+        key = key.strip()
+        if key not in PageConstants._fields:
+            raise PageConfigError(
+                f"line {lineno}: unknown key {key!r}, expected one of {PageConstants._fields}"
+            )
+        if key in values:
+            raise PageConfigError(f"line {lineno}: key {key!r} is set a second time")
         try:
-            values[key.strip()] = float(rhs.strip())
+            values[key] = float(rhs.strip())
         except ValueError:
             raise PageConfigError(f"line {lineno}: not a decimal: {rhs.strip()!r}") from None
     return values

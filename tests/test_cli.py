@@ -470,6 +470,17 @@ def test_index_page_corrupt_config(capsys, tmp_path):
     assert "quartic" in err or "anchor" in err or "match" in err
 
 
+@pytest.mark.parametrize("line, key", [("f_const = 1.25", "f_const"), ("bogus_key = 7", "bogus_key")])
+def test_index_page_config_with_a_repeated_or_unknown_key(capsys, tmp_path, line, key):
+    text = resources.files("bergerspec").joinpath("data/page_constants.cfg").read_text()
+    cfg = tmp_path / "page.cfg"
+    cfg.write_text(f"{text}{line}\n")
+    code, out, err = run(capsys, "index", "page", "--roots", "--page-config", str(cfg))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"bergerspec: line {len(text.splitlines()) + 1}: ") and err.count("\n") == 1
+    assert repr(key) in err
+
+
 def test_plotdata_fig2_value(capsys):
     code, out, _ = run(capsys, "plotdata", "fig2")
     assert code == 0
@@ -760,13 +771,24 @@ def test_piecewise_bad_xmax_is_a_usage_error(capsys, value):
 
 
 def test_cold_import_loads_no_module_it_does_not_use():
-    # -S skips site hooks, which may import these modules on their own
+    # -S skips site hooks, which may import these modules on their own.
+    # The library needs nothing outside the standard library, and of the
+    # standard library it loads on import only what it uses: records are
+    # plain classes, json and importlib.resources are imported by the JSON
+    # branch and the config reader, CSV is written without the csv module,
+    # annotations are strings, so typing is never needed, and argv is read
+    # by the CLI's own option tables, so neither argparse nor its gettext is imported
     src = str(Path(__file__).resolve().parents[1] / "src")
     probe = (
         f"import sys; sys.path.insert(0, {src!r}); import bergerspec.cli; "
+        "print(*sorted({m.partition('.')[0] for m in sys.modules}"
+        " - set(sys.stdlib_module_names) - {'__main__', 'bergerspec'})); "
         "print(*sorted({'argparse', 'csv', 'dataclasses', 'gettext', 'inspect', 'json', 'importlib.resources',"
         " 'typing'}"
         " & set(sys.modules)))"
     )
     proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, timeout=60)
-    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "\n")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    outside, unused = proc.stdout.splitlines()
+    assert outside == "", f"modules outside the standard library: {outside}"
+    assert unused == "", f"standard-library modules loaded but not used on import: {unused}"

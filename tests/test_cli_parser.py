@@ -202,6 +202,8 @@ def test_equals_forms_and_unique_prefixes_are_accepted():
         (["index", "cp2", "--p", "3"], "ambiguous option: --p could match --page-config, --precision"),
         (["berger", "--t", "1", "--bogus"], "unrecognized arguments: --bogus"),
         (["berger", "--t", "1", "--roots"], "unrecognized arguments: --roots"),
+        (["--foo", "sphere", "--dim", "3", "--kmax", "1"], "unrecognized arguments: --foo"),
+        (["--foo", "--bar", "sphere", "--dim", "3", "--kmax", "1"], "unrecognized arguments: --foo --bar"),
     ],
 )
 def test_an_ambiguous_or_unknown_option_is_refused(argv, message):
@@ -283,6 +285,8 @@ def test_help_prints_a_usage_text_from_the_table_and_exits_0(argv):
          "argument --format: invalid choice: 'xml' (choose from 'csv', 'json')"),
         (["index", "page", "--roots=yes"], "argument --roots: ignored explicit argument 'yes'"),
         ([], "the following arguments are required: command"),
+        (["berger", "--t", "1ex"], "argument --t: invalid Fraction value: '1ex'"),
+        (["berger", "--t", "1e+"], "argument --t: invalid Fraction value: '1e+'"),
     ],
 )
 def test_a_usage_error_is_one_line_in_argparse_words(argv, message):

@@ -9,6 +9,7 @@ import functools
 import math
 import random
 import re
+from importlib import resources
 
 import pytest
 from hypothesis import assume, given, settings
@@ -108,6 +109,21 @@ def test_non_decimal_rejected(tmp_path):
     p = tmp_path / "nan.cfg"
     p.write_text("a = zero\nf_const = 1\nC = 1\nD = 1\n")
     with pytest.raises(PageConfigError):
+        page_constants(path=str(p))
+
+
+@pytest.mark.parametrize(
+    "line, problem",
+    [
+        ("f_const = 1.25", "key 'f_const' is set a second time"),
+        ("bogus_key = 7", "unknown key 'bogus_key'"),
+    ],
+)
+def test_repeated_or_unknown_key_rejected(tmp_path, line, problem):
+    text = resources.files("bergerspec").joinpath("data/page_constants.cfg").read_text()
+    p = tmp_path / "appended.cfg"
+    p.write_text(f"{text}{line}\n")
+    with pytest.raises(PageConfigError, match=f"^line {len(text.splitlines()) + 1}: {problem}"):
         page_constants(path=str(p))
 
 
