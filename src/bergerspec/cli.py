@@ -73,23 +73,15 @@ from .spheres import sphere_spectrum
 
 PRECISION_ENV = "BERGERSPEC_PRECISION"
 MAX_PRECISION = 30
+MAX_DEPTH = 10_000  # bounds --depth, the size of an index row's one merge
 _CHUNK = 64  # rows per write in `emit`
-
-
-class OutputRequest(_Record):
-    """Where and how a command's table should be written."""
-
-    _fields = ("format", "precision", "output")
-
-    def __init__(self, format: str = "csv", precision: int = 12, output: str | None = None) -> None:
-        self.__dict__.update(format=format, precision=precision, output=output)
 
 
 Table = tuple[list[str], list[str], list[list | tuple]]  # comments, fieldnames, columns
 
 
-def emit(table: Table, request: OutputRequest) -> None:
-    """Write the table as CSV or JSON, converting it column by column.
+def emit(table: Table, fmt: str, precision: int, output: str | None = None) -> None:
+    """Write the table as CSV or JSON (`fmt`) to `output`, or stdout if None.
 
     The table must hold one column per field, all of one length, and each
     column cells of exactly one type: str, written as it is; int, as its
@@ -116,8 +108,8 @@ def emit(table: Table, request: OutputRequest) -> None:
             f"a table needs one column per field, all of one length: "
             f"{len(fields)} fields, columns of lengths {lengths}"
         )
-    as_json = request.format == "json"
-    real = f"{{:.{request.precision}g}}".format
+    as_json = fmt == "json"
+    real = f"{{:.{precision}g}}".format
     cols, strs = [], []  # strs: the positions of str columns, the only cells CSV may quote
     for name, col in zip(fields, columns):
         kinds = set(map(type, col))
@@ -137,11 +129,11 @@ def emit(table: Table, request: OutputRequest) -> None:
 
         encode = json.JSONEncoder(indent=2).encode  # json.dumps would build one per chunk
     rows = lengths[0] if lengths else 0
-    out = sys.stdout if request.output is None else open(request.output, "w")
+    out = sys.stdout if output is None else open(output, "w")
     try:
         if as_json:
             for lo in range(0, rows, _CHUNK):
-                chunk = zip(*_chunk(cols, lo, rows))
+                chunk = zip(*[col[lo : lo + _CHUNK] for col in cols])
                 out.write(",\n" if lo else "[\n")
                 out.write(encode([dict(zip(fields, row)) for row in chunk])[2:-2])
             out.write("\n]\n" if rows else "[]\n")
@@ -151,22 +143,13 @@ def emit(table: Table, request: OutputRequest) -> None:
             alone = len(fields) == 1
             out.write(",".join(_csv_fields(fields, alone)) + "\n")
             for lo in range(0, rows, _CHUNK):
-                texts = _chunk(cols, lo, rows)
+                texts = [col[lo : lo + _CHUNK] for col in cols]
                 for j in strs:
                     texts[j] = _csv_fields(texts[j], alone)
                 out.write("\n".join(map(",".join, zip(*texts))) + "\n")
     finally:
         if out is not sys.stdout:
             out.close()
-
-
-def _chunk(cols: list, lo: int, rows: int) -> list:
-    """Rows lo to lo + _CHUNK of the columns, as a new list of columns.
-
-    A table of one chunk keeps its columns: for a table of a few rows,
-    slicing every column would cost about as much as the rest of its write.
-    """
-    return [col[lo : lo + _CHUNK] for col in cols] if rows > _CHUNK else list(cols)
 
 
 def _csv_fields(cells: list[str], alone: bool) -> list[str]:
@@ -289,10 +272,14 @@ def handle_index(args: SimpleNamespace) -> Table:
 
     A row costs one integer merge of --depth distinct values plus the few
     values it prints (`slice_index_nullity`), so a --scan RMIN RMAX STEPS
-    costs one such merge per step: its cost is proportional to its output.
+    costs one such merge per step.  --depth, positive and at most
+    MAX_DEPTH, is checked before any root or row is computed.
     """
     if (args.r is not None) + (args.scan is not None) + args.roots != 1:
         raise ValueError("exactly one of --r, --scan, --roots is required")
+    _check_count(args.depth, "--depth")
+    if args.depth > MAX_DEPTH:
+        raise ValueError(f"--depth must be at most {MAX_DEPTH}, got {args.depth}")
     fields = ["r", "index", "nullity", "first_shifted", "bound"]
     if args.space == "cp2":
         if args.roots:
@@ -413,7 +400,7 @@ COMMANDS = {
         "--r": _Opt(float),
         "--scan": _Opt(float, nargs=3, help="RMIN RMAX STEPS: STEPS radii from RMIN to RMAX"),
         "--roots": _Opt(default=False, nargs=0, help="print the two page transition roots"),
-        "--depth": _Opt(int, 25),
+        "--depth": _Opt(int, 25, help=f"distinct values per row, at most {MAX_DEPTH}"),
         "--tol": _Opt(float, 1e-6),
         "--page-config": _PAGE_CONFIG,
         **_SHARED,
@@ -492,8 +479,9 @@ def _read(command: str, argv: list[str]) -> dict:
     """{dest: value} for every entry of the subcommand's table, given or default.
 
     Every word is classified before any is read, so an ambiguous prefix is
-    refused first; the words after "--" are values.  A repeated option
-    keeps its last value.
+    refused first; the words after "--" are values, and an option takes
+    its values only from words before it.  A repeated option keeps its
+    last value.
     """
     table, given, extra, i = COMMANDS[command], {}, [], 0
     k = argv.index("--") if "--" in argv else len(argv)
@@ -514,7 +502,7 @@ def _read(command: str, argv: list[str]) -> dict:
                 _fail(f"argument {flag}: ignored explicit argument {text!r}")
             given[flag] = True
         else:
-            texts = [text] if text is not None else [w for w, f in words[i : i + opt.nargs] if f is None]
+            texts = [text] if text is not None else [w for w, f in words[i : min(i + opt.nargs, k)] if f is None]
             if len(texts) != opt.nargs:
                 _fail(f"argument {flag}: expected {'one argument' if opt.nargs == 1 else f'{opt.nargs} arguments'}")
             if text is None:
@@ -577,7 +565,7 @@ def build_parser() -> _Parser:
     return _Parser()
 
 
-def _resolve_request(args: SimpleNamespace) -> OutputRequest:
+def _resolve_precision(args: SimpleNamespace) -> int:
     precision = args.precision
     if precision is None:
         env = os.environ.get(PRECISION_ENV)
@@ -590,7 +578,7 @@ def _resolve_request(args: SimpleNamespace) -> OutputRequest:
             precision = 12
     if not 1 <= precision <= MAX_PRECISION:
         raise ValueError(f"precision must be in 1..{MAX_PRECISION}, got {precision}")
-    return OutputRequest(format=args.format, precision=precision, output=args.output)
+    return precision
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -600,7 +588,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        request = _resolve_request(args)
+        precision = _resolve_precision(args)
         # looked up when called, so a handler rebound on the module runs
         table = globals()[f"handle_{args.command}"](args)
     except (PageConfigError, PageStructureError) as exc:
@@ -610,9 +598,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"bergerspec: {exc}", file=sys.stderr)
         return 2
     try:
-        emit(table, request)
+        emit(table, args.format, precision, args.output)
     except OSError as exc:
-        where = "stdout" if request.output is None else request.output
+        where = "stdout" if args.output is None else args.output
         print(f"bergerspec: cannot write {where}: {exc}", file=sys.stderr)
         return 3
     return 0

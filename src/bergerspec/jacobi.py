@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from .berger import SpectrumEntry, _check_positive, _Record
+from .berger import SpectrumEntry, _check_count, _check_positive, _Record
 
 _SUPPORTED_VALIDITY = ("hypersurface", "constant-curvature")
 
@@ -32,8 +32,7 @@ class EinsteinAmbient(_Record):
     _fields = ("n", "s", "validity", "name")
 
     def __init__(self, n: int, s: float, validity: str, name: str = "") -> None:
-        if not isinstance(n, int) or n < 1:
-            raise ValueError(f"ambient dimension must be a positive integer, got {n!r}")
+        _check_count(n, "ambient dimension")
         if validity not in _SUPPORTED_VALIDITY + ("general",):
             raise ValueError(
                 f"validity must be one of {_SUPPORTED_VALIDITY + ('general',)}, got {validity!r}"
@@ -55,11 +54,19 @@ def jacobi_shift(ambient: EinsteinAmbient) -> float:
     return ambient.s / ambient.n
 
 
+def _check_ascending(values: list[float], what: str) -> None:
+    """Refuse `values` unless each is at most the next, so a NaN among two or more fails."""
+    if not all(a <= b for a, b in zip(values, values[1:])):
+        raise ValueError(f"{what} must be sorted ascending")
+
+
 def jacobi_spectrum(laplace: list[SpectrumEntry], shift: float) -> list[SpectrumEntry]:
-    """Shift a Laplace spectrum down by `shift`, preserving order and sources."""
+    """Shift a Laplace spectrum down by `shift`, preserving order and sources.
+
+    The values must ascend, each at most the next, and include zero.
+    """
     values = [e.value for e in laplace]
-    if values != sorted(values):
-        raise ValueError("laplace spectrum must be sorted ascending")
+    _check_ascending(values, "laplace spectrum")
     if not any(v == 0 for v in values):
         raise ValueError("laplace spectrum must contain the zero eigenvalue")
     return [SpectrumEntry(e.value - shift, e.multiplicity, e.source) for e in laplace]
@@ -118,8 +125,7 @@ def index_nullity(
     _check_positive(zero_tolerance, "zero_tolerance")
     if not values:
         raise ValueError("empty Jacobi spectrum")
-    if not all(a <= b for a, b in zip(values, values[1:])):
-        raise ValueError("Jacobi spectrum must be sorted ascending")
+    _check_ascending(values, "Jacobi spectrum")
     return _count_index_nullity(
         jacobi, lambda e: e.value, lambda e: e.multiplicity, zero_tolerance, parameter=parameter, shift=shift
     )

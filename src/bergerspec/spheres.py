@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .berger import _Record
+from .berger import _check_count, _Record
 
 
 class SphereSpectrumEntry(_Record):
@@ -17,11 +17,6 @@ class SphereSpectrumEntry(_Record):
 
     def __init__(self, degree: int, eigenvalue: int, multiplicity: int) -> None:
         self.__dict__.update(degree=degree, eigenvalue=eigenvalue, multiplicity=multiplicity)
-
-
-def _check_dim(p: int) -> None:
-    if not isinstance(p, int) or p < 1:
-        raise ValueError(f"sphere dimension must be a positive integer, got {p!r}")
 
 
 def _check_degree(k: int) -> None:
@@ -32,7 +27,7 @@ def _check_degree(k: int) -> None:
 def sphere_eigenvalue(k: int, p: int) -> int:
     """Eigenvalue k(k+p-1) of the degree-k harmonics on the unit p-sphere."""
     _check_degree(k)
-    _check_dim(p)
+    _check_count(p, "sphere dimension")
     return k * (k + p - 1)
 
 
@@ -43,14 +38,14 @@ def sphere_multiplicity(k: int, p: int) -> int:
     in p+1 variables minus the image of multiplication by |x|^2.
     """
     _check_degree(k)
-    _check_dim(p)
+    _check_count(p, "sphere dimension")
     lower = comb(k + p - 2, p) if k + p - 2 >= 0 else 0
     return comb(k + p, p) - lower
 
 
 def sphere_spectrum(p: int, k_max: int) -> list[SphereSpectrumEntry]:
     """Entries for degrees 0..k_max, ascending in eigenvalue."""
-    _check_dim(p)
+    _check_count(p, "sphere dimension")
     _check_degree(k_max)
     return [
         SphereSpectrumEntry(k, sphere_eigenvalue(k, p), sphere_multiplicity(k, p))

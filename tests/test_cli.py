@@ -277,6 +277,34 @@ def test_index_scan_builds_one_spectrum_per_row(capsys, monkeypatch, space):
     assert calls == [9] * 5
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cp2", "--r", "1", "--depth", "10001"], "--depth must be at most 10000, got 10001"),
+        (["page", "--roots", "--depth", "10001"], "--depth must be at most 10000, got 10001"),
+        (["page", "--scan", "0.5", "2", "3", "--depth", "0"], "--depth must be a positive integer, got 0"),
+        (["page", "--roots", "--depth", "-3"], "--depth must be a positive integer, got -3"),
+    ],
+)
+def test_index_depth_is_checked_before_any_root_or_row(capsys, monkeypatch, argv, message):
+    from bergerspec import berger, slices
+
+    calls = []
+    for module in (berger, slices, cli):
+        monkeypatch.setattr(module, "_merge", lambda *args: calls.append(args))
+    monkeypatch.setattr(cli, "page_transition_roots", lambda *args: calls.append(args))
+    assert run(capsys, "index", *argv) == (2, "", f"bergerspec: {message}\n")
+    assert calls == []
+
+
+def test_index_depth_at_its_bound_runs(capsys):
+    assert cli.MAX_DEPTH == 10_000
+    assert f"at most {cli.MAX_DEPTH}" in cli._usage("index")
+    code, out, _ = run(capsys, "index", "cp2", "--r", "1", "--depth", "10000")
+    assert code == 0
+    assert (csv_rows(out)[1][0]["index"], csv_rows(out)[1][0]["nullity"]) == ("1", "0")
+
+
 def test_index_cp2_domain_error(capsys):
     code, _, err = run(capsys, "index", "cp2", "--r", "-1")
     assert code == 2
@@ -468,6 +496,15 @@ def test_index_page_corrupt_config(capsys, tmp_path):
     )
     assert code == 3
     assert "quartic" in err or "anchor" in err or "match" in err
+
+
+def test_index_page_config_whose_d_squared_is_not_c(capsys, tmp_path):
+    text = resources.files("bergerspec").joinpath("data/page_constants.cfg").read_text()
+    cfg = tmp_path / "page.cfg"
+    cfg.write_text("".join("C = 0.5\n" if line.startswith("C =") else f"{line}\n" for line in text.splitlines()))
+    code, out, err = run(capsys, "index", "page", "--roots", "--page-config", str(cfg))
+    assert (code, out) == (3, "")
+    assert err == "bergerspec: D^2 = 0.4822813210435226 does not match C = 0.5\n"
 
 
 @pytest.mark.parametrize("line, key", [("f_const = 1.25", "f_const"), ("bogus_key = 7", "bogus_key")])

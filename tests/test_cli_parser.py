@@ -12,7 +12,7 @@ import io
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bergerspec.cli import build_parser, main
@@ -123,11 +123,15 @@ def _corruption(draw, command):
     """Words that make any argv of the subcommand a usage error, wherever they go between items."""
     actions = _actions(command)
     valued = [a for a in actions if a.option_strings and a.nargs != 0]
-    kinds = ["missing value", "unknown flag", "bad value", "switch with a value", "ambiguous"]
+    kinds = ["missing value", "values after --", "unknown flag", "bad value", "switch with a value", "ambiguous"]
     kind = draw(st.sampled_from(kinds))
     if kind == "missing value":
         action = draw(st.sampled_from(valued))
         return [action.option_strings[0], *["1"] * draw(st.integers(0, (action.nargs or 1) - 1))]
+    if kind == "values after --":  # after "--" every word is a value, but none is the flag's
+        action = draw(st.sampled_from(valued))
+        value = action.choices[0] if action.choices else "1"
+        return [action.option_strings[0], "--", *[value] * (action.nargs or 1)]
     if kind == "unknown flag":
         return [draw(st.sampled_from(["--bogus", "-x", "--no-such-flag=3", "-q", "---t", "--dim-x"]))]
     if kind == "switch with a value":
@@ -159,8 +163,12 @@ def malformed(draw):
     return [command, *[w for item in items for w in item]]
 
 
+AFTER_DASHES = ["sphere", "--dim", "3", "--kmax", "--", "1"]  # the corruption ends the argv
+
+
 @settings(max_examples=200, deadline=None)
 @given(argv=malformed())
+@example(argv=AFTER_DASHES)
 def test_malformed_argv_is_refused_as_argparse_refuses_it(argv):
     assert parse(ORACLE, argv)[0] == 2, argv
     assert parse(build_parser(), argv)[0] == 2, argv
@@ -168,6 +176,7 @@ def test_malformed_argv_is_refused_as_argparse_refuses_it(argv):
 
 @settings(max_examples=200, deadline=None)
 @given(argv=malformed())
+@example(argv=AFTER_DASHES)
 def test_malformed_argv_is_one_stderr_line_and_exit_2(argv):
     code, out, err = run_main(argv)
     assert (code, out) == (2, ""), argv
@@ -287,6 +296,8 @@ def test_help_prints_a_usage_text_from_the_table_and_exits_0(argv):
         ([], "the following arguments are required: command"),
         (["berger", "--t", "1ex"], "argument --t: invalid Fraction value: '1ex'"),
         (["berger", "--t", "1e+"], "argument --t: invalid Fraction value: '1e+'"),
+        (["index", "cp2", "--r", "--", "1"], "argument --r: expected one argument"),
+        (["index", "cp2", "--scan", "1", "--", "2", "3"], "argument --scan: expected 3 arguments"),
     ],
 )
 def test_a_usage_error_is_one_line_in_argparse_words(argv, message):

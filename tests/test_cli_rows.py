@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 
 from bergerspec import cli
 from bergerspec.cli import (
-    OutputRequest,
     build_parser,
     emit,
     handle_berger,
@@ -81,7 +80,7 @@ def _columns(rows, width):
 def _emitted(table, fmt, precision):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        emit(table, OutputRequest(format=fmt, precision=precision))
+        emit(table, fmt, precision)
     return buf.getvalue()
 
 
@@ -284,7 +283,7 @@ def test_emit_refuses_cells_that_are_not_exactly_int_str_or_float(fmt, value):
 def test_a_refused_table_leaves_no_output_file(tmp_path, fmt):
     path = tmp_path / "table.out"
     with pytest.raises(TypeError, match="holds cells of type"):
-        emit((["c"], ["n", "x"], [[1, 2], [0.5, None]]), OutputRequest(fmt, 12, str(path)))
+        emit((["c"], ["n", "x"], [[1, 2], [0.5, None]]), fmt, 12, str(path))
     assert not path.exists()
 
 
@@ -305,7 +304,7 @@ def test_emit_refuses_a_table_of_the_wrong_shape(tmp_path, fmt, fields, columns,
         _emitted((["c"], fields, columns), fmt, 12)
     path = tmp_path / "table.out"
     with pytest.raises(TypeError, match=message):
-        emit((["c"], fields, columns), OutputRequest(fmt, 12, str(path)))
+        emit((["c"], fields, columns), fmt, 12, str(path))
     assert not path.exists()
 
 

@@ -36,7 +36,7 @@ def test_shift_rejects_general_ambient():
 
 
 def test_ambient_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^ambient dimension must be a positive integer, got 0$"):
         EinsteinAmbient(n=0, s=1.0, validity="hypersurface")
     with pytest.raises(ValueError):
         EinsteinAmbient(n=4, s=1.0, validity="nonsense")
@@ -56,6 +56,14 @@ def test_jacobi_spectrum_validation():
         jacobi_spectrum([SpectrumEntry(3.0, 1), SpectrumEntry(0.0, 1)], 1.0)
     with pytest.raises(ValueError):
         jacobi_spectrum([SpectrumEntry(1.0, 1), SpectrumEntry(2.0, 1)], 1.0)
+
+
+def test_jacobi_spectrum_refuses_a_nan_among_its_values():
+    # each value must be at most the next, so a NaN cannot hide disorder as it can from sorted()
+    nan = float("nan")
+    for values in ([1.0, nan, 0.0], [0.0, nan, 1.0]):
+        with pytest.raises(ValueError, match="^laplace spectrum must be sorted ascending$"):
+            jacobi_spectrum([SpectrumEntry(v, 1) for v in values], 1.5)
 
 
 def test_index_nullity_counting():

@@ -127,6 +127,12 @@ def test_repeated_or_unknown_key_rejected(tmp_path, line, problem):
         page_constants(path=str(p))
 
 
+def test_d_squared_not_c_rejected(tmp_path, consts):
+    message = "D^2 = 0.4822813210435226 does not match C = 0.5"
+    with pytest.raises(PageConfigError, match=f"^{re.escape(message)}$"):
+        page_constants(path=_config_with(tmp_path, consts, "C", "0.5"))
+
+
 def test_corrupted_a_rejected_strict(tmp_path, consts):
     p = tmp_path / "bad_a.cfg"
     p.write_text(

@@ -1,4 +1,4 @@
-"""The eleven immutable records behave as the frozen dataclasses they replace.
+"""The ten immutable records behave as the frozen dataclasses they replace.
 
 Each record is checked against a frozen dataclass of the same name and
 fields (built here with `dataclasses.make_dataclass`; the library itself
@@ -15,7 +15,6 @@ from fractions import Fraction
 import pytest
 
 from bergerspec.berger import AffineBranch, Mode, PiecewiseCell, SpectrumEntry
-from bergerspec.cli import OutputRequest
 from bergerspec.jacobi import EinsteinAmbient, IndexNullityReport, InstabilityVerdict
 from bergerspec.page import PageConstants, page_constants
 from bergerspec.slices import CP2_AMBIENT, SliceGeometry
@@ -48,11 +47,6 @@ RECORDS = [
     (SliceGeometry, {"r": 1.0, "f": 0.5, "x": Fraction(2), "ambient": CP2_AMBIENT}, {}),
     (PageConstants, {"a": 0.28, "f_const": 0.7, "C": 0.25, "D": 0.5}, {}),
     (SphereSpectrumEntry, {"degree": 2, "eigenvalue": 8, "multiplicity": 9}, {}),
-    (
-        OutputRequest,
-        {"format": "json", "precision": 17, "output": "out.json"},
-        {"format": "csv", "precision": 12, "output": None},
-    ),
 ]
 IDS = [cls.__name__ for cls, _, _ in RECORDS]
 
@@ -105,7 +99,7 @@ def test_equality_holds_within_a_class_only(case):
 
 def test_records_of_different_classes_with_equal_fields_differ():
     values = (1, 2, 3)
-    classes = (AffineBranch, PiecewiseCell, InstabilityVerdict, OutputRequest)
+    classes = (AffineBranch, PiecewiseCell, InstabilityVerdict)
     records = [cls(*values) for cls in classes]
     assert len({type(r) for r in records}) == len(records)
     for i, a in enumerate(records):

@@ -368,6 +368,12 @@ def test_bisection_sqrt2():
     assert root == pytest.approx(math.sqrt(2.0), abs=1e-6)
 
 
+def test_bisection_stops_at_float_resolution():
+    # no interval is 1e-300 wide here: the loop ends when the midpoint is an endpoint
+    root = find_root_bisection(lambda v: v * v - 2.0, 1.0, 2.0, 1e-300)
+    assert abs(root - math.sqrt(2.0)) <= math.ulp(math.sqrt(2.0))
+
+
 def test_bisection_errors():
     with pytest.raises(ValueError):
         find_root_bisection(lambda v: v * v + 1.0, 0.0, 1.0, 1e-6)

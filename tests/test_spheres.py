@@ -62,3 +62,6 @@ def test_input_validation():
         sphere_multiplicity(2, -2)
     with pytest.raises(ValueError):
         sphere_spectrum(3, -1)
+    for call in (lambda: sphere_eigenvalue(1, 0), lambda: sphere_multiplicity(1, 0), lambda: sphere_spectrum(0, 1)):
+        with pytest.raises(ValueError, match=r"^sphere dimension must be a positive integer, got 0$"):
+            call()
