@@ -78,7 +78,7 @@ class Mode(_Record):
     _fields = ("k", "q")
 
     def __init__(self, k: int, q: int) -> None:
-        if not isinstance(k, int) or not isinstance(q, int):
+        if type(k) is not int or type(q) is not int:  # a bool is not an index
             raise ValueError(f"mode indices must be integers, got ({k!r}, {q!r})")
         if k < 0 or q < 0 or q > k:
             raise ValueError(f"mode requires 0 <= q <= k, got (k={k}, q={q})")
@@ -192,7 +192,7 @@ def _check_positive(value: float, name: str) -> None:
 
 
 def _check_count(count: int, name: str = "count") -> None:
-    if not isinstance(count, int) or count < 1:
+    if type(count) is not int or count < 1:  # a bool is not a count
         raise ValueError(f"{name} must be a positive integer, got {count!r}")
 
 

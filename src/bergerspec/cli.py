@@ -63,7 +63,7 @@ from .page import (
     page_transition_roots,
 )
 from .slices import (  # noqa: F401  (slice_spectrum: bench/tracing.py wraps it here)
-    _shifted_spectrum,
+    _slice_merge,
     cp2_lambda1,
     cp2_slice,
     slice_index_nullity,
@@ -349,9 +349,8 @@ def handle_plotdata(args: SimpleNamespace) -> Table:
     for k in range(1, 512):
         r = k * math.pi / 512
         geom = page_slice(r, consts)
-        shift = jacobi_shift(geom.ambient)
-        shifted, _ = _shifted_spectrum(geom, 6, shift)
-        rows.append((r, *shifted))
+        groups, value = _slice_merge(geom, 6, jacobi_shift(geom.ambient))
+        rows.append((r, *map(value, groups)))
     return comments, fields, list(zip(*rows))
 
 

@@ -15,6 +15,7 @@ value seen, so a truncated spectrum certifies its own completeness
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 
 from .berger import SpectrumEntry, _check_count, _check_positive, _Record
@@ -33,6 +34,8 @@ class EinsteinAmbient(_Record):
 
     def __init__(self, n: int, s: float, validity: str, name: str = "") -> None:
         _check_count(n, "ambient dimension")
+        if not math.isfinite(s):  # a NaN or infinite shift has no sign and no index
+            raise ValueError(f"ambient scalar curvature s must be finite, got {s!r}")
         if validity not in _SUPPORTED_VALIDITY + ("general",):
             raise ValueError(
                 f"validity must be one of {_SUPPORTED_VALIDITY + ('general',)}, got {validity!r}"

@@ -79,13 +79,13 @@ def slice_spectrum(geom: SliceGeometry, depth: int = DEFAULT_DEPTH) -> list[Spec
     Branch values are grouped exactly in the coordinate A + B x before the
     single division by f, so equal eigenvalues merge with summed
     multiplicities and no floating-point tolerance is involved.  Each
-    entry's source is the first mode attaining it (`_shifted_spectrum`
-    with shift 0), so the constant eigenvalue has source Mode(0, 0).
+    entry's value is `_slice_merge`'s with shift 0 and its source is the
+    first mode attaining it, so the constant eigenvalue has source Mode(0, 0).
     """
-    values, groups = _shifted_spectrum(geom, depth, 0.0)
+    groups, value = _slice_merge(geom, depth, 0.0)
     return [
-        SpectrumEntry(value, _total_multiplicity(pairs), _known_mode(*pairs[0]))
-        for value, (_, pairs) in zip(values, groups)
+        SpectrumEntry(value(group), _total_multiplicity(group[1]), _known_mode(*group[1][0]))
+        for group in groups
     ]
 
 
@@ -115,14 +115,6 @@ def _slice_merge(
     return groups, value
 
 
-def _shifted_spectrum(
-    geom: SliceGeometry, depth: int, shift: float
-) -> tuple[list[float], list[tuple[int, list[tuple[int, int]]]]]:
-    """The first `depth` distinct slice eigenvalues minus `shift`, and the merge groups behind them."""
-    groups, value = _slice_merge(geom, depth, shift)
-    return list(map(value, groups)), groups
-
-
 def slice_index_nullity(
     geom: SliceGeometry,
     depth: int = DEFAULT_DEPTH,
@@ -135,18 +127,15 @@ def slice_index_nullity(
     one integer merge of `depth` distinct values plus the few values the
     report prints: the first two, the last (the truncation bound) and the
     counted prefix, up to the first value above zero_tolerance.  Only
-    the counted entries sum their multiplicities, and the order is
-    checked on the exact merge numerators, which the values follow.
+    the counted entries sum their multiplicities.  The merge's groups
+    ascend from its first, the zero eigenvalue, so the values do too, and
+    neither is re-checked here.
     """
     shift = jacobi_shift(geom.ambient)
     if zero_tolerance is None:
         zero_tolerance = 1e-9 * max(1.0, abs(shift))
     groups, value = _slice_merge(geom, depth, shift)
-    if value(groups[0]) != -shift:
-        raise ValueError("laplace spectrum must contain the zero eigenvalue")
     _check_positive(zero_tolerance, "zero_tolerance")
-    if groups != sorted(groups):  # by numerator
-        raise ValueError("Jacobi spectrum must be sorted ascending")
     report = _count_index_nullity(
         groups, value, lambda group: _total_multiplicity(group[1]), zero_tolerance, parameter=geom.r, shift=shift
     )

@@ -20,7 +20,7 @@ class SphereSpectrumEntry(_Record):
 
 
 def _check_degree(k: int) -> None:
-    if not isinstance(k, int) or k < 0:
+    if type(k) is not int or k < 0:  # a bool is not a degree
         raise ValueError(f"harmonic degree must be a non-negative integer, got {k!r}")
 
 

@@ -5,13 +5,22 @@ criteria, so they live with the tests and not in `bergerspec`.
 """
 
 import argparse
+import json
 import math
 import re
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from bergerspec.berger import Mode, SpectrumEntry, _check_positive, _known_mode
 from bergerspec.jacobi import EinsteinAmbient
 from bergerspec.slices import SliceGeometry
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+if str(BENCH) not in sys.path:
+    sys.path.insert(0, str(BENCH))
+
+import oracle  # noqa: E402
 
 ROUND_S4_AMBIENT = EinsteinAmbient(n=4, s=12.0, validity="constant-curvature", name="round S^4")
 
@@ -65,6 +74,36 @@ def synthetic_slice(r: float) -> SliceGeometry:
 def w2(geom: SliceGeometry) -> float:
     """The sigma_3^2 coefficient f / x of a slice."""
     return float(Fraction(geom.f) / geom.x)
+
+
+def _same(value, text) -> bool:
+    """A JSON cell against its CSV text: int as str(v), float as float(text), str as is."""
+    if type(value) is int:
+        return str(value) == text
+    if type(value) is float:
+        want = float(text)
+        return value == want or (math.isnan(value) and math.isnan(want))
+    return type(value) is str and value == text
+
+
+def json_problem(csv_run: tuple, json_run: tuple) -> str | None:
+    """The first way a JSON run (code, stdout, stderr) disagrees with the CSV run, or None."""
+    (code, text, _), (json_code, json_text, _) = csv_run, json_run
+    if code != json_code:
+        return f"exit {code} as CSV, {json_code} as JSON"
+    if code != 0:
+        return None
+    header, rows = oracle.parse(text)
+    payload = json.loads(json_text)
+    if len(payload) != len(rows):
+        return f"{len(rows)} CSV rows, {len(payload)} JSON rows"
+    for n, (row, obj) in enumerate(zip(rows, payload)):
+        if list(obj) != header:
+            return f"row {n}: JSON keys {list(obj)} != CSV header {header}"
+        for k, v in obj.items():
+            if not _same(v, row[k]):
+                return f"row {n} {k}: JSON {v!r} != CSV {row[k]!r}"
+    return None
 
 
 def _fraction(text: str) -> Fraction:

@@ -41,3 +41,27 @@ def test_every_exported_name_has_a_caller_outside_the_tests():
     ]
     # each of these belongs in tests/oracles.py, or needs a caller
     assert unreached == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The names a module imports and never reads; a name listed in `__all__` is read."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            imported.update((alias.asname or alias.name).partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return sorted(imported - read)
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    unused = {path.stem: _unused_imports(path) for path in sorted(_PACKAGE.glob("*.py"))}
+    # bench/tracing.py wraps these bindings where they are imported, so they
+    # stay until the tracer attributes time without them
+    assert {module: names for module, names in unused.items() if names} == {
+        "cli": ["distinct_spectrum_at", "eleven_slot_table", "slice_spectrum", "spectrum_with_multiplicity"],
+        "slices": ["index_nullity", "jacobi_spectrum", "spectrum_with_multiplicity"],
+    }

@@ -171,7 +171,7 @@ def test_non_rational_parameters_are_named(name, call, value):
         call(value)
 
 
-@pytest.mark.parametrize("count", [2.5, "3"])
+@pytest.mark.parametrize("count", [2.5, "3", True])  # bool subclasses int
 def test_distinct_spectrum_rejects_non_integer_count(count):
     with pytest.raises(ValueError, match="count must be a positive integer"):
         distinct_spectrum_at(2, count)
@@ -392,7 +392,7 @@ def test_piecewise_validation():
         kth_distinct_piecewise(1, 0)
 
 
-@pytest.mark.parametrize("i", [2.5, "3"])
+@pytest.mark.parametrize("i", [2.5, "3", True])
 def test_piecewise_rejects_non_integer_position(i):
     with pytest.raises(ValueError, match=f"^position must be a positive integer, got {i!r}$"):
         kth_distinct_piecewise(i, 1)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from bergerspec import cli
 from bergerspec.cli import _scan_grid, build_parser, main
+from oracles import json_problem
 
 
 def run(capsys, *argv):
@@ -725,14 +726,16 @@ def _main_output(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def _same_cell(value, text):
-    """A JSON cell against its CSV text: int as str(v), float as float(text), str as is."""
-    if type(value) is int:
-        return str(value) == text
-    if type(value) is float:
-        want = float(text)
-        return value == want or (math.isnan(value) and math.isnan(want))
-    return type(value) is str and value == text
+def _json_agrees_with_csv(argv):
+    """The CSV run (code, stdout, stderr) of argv, once its JSON run is found to agree with it."""
+    csv_run = _main_output(argv)
+    json_run = _main_output([*argv, "--format", "json"])
+    assert csv_run[2] == json_run[2]
+    problem = json_problem(csv_run, json_run)
+    assert problem is None, (argv, problem)
+    if csv_run[0] != 0:
+        assert csv_run[1] == json_run[1] == ""
+    return csv_run
 
 
 _BERGER_PARAM = st.one_of(
@@ -756,18 +759,48 @@ def test_berger_json_agrees_with_csv(flag, param, count, with_multiplicity):
     argv = ["berger", flag, param, "--count", str(count)]
     if with_multiplicity:
         argv.append("--with-multiplicity")
-    code, out, err = _main_output(argv)
-    json_code, json_out, json_err = _main_output([*argv, "--format", "json"])
-    assert (code, err) == (json_code, json_err)
-    if code != 0:
-        assert out == json_out == ""
-        return
-    header, rows = csv_rows(out)
-    payload = json.loads(json_out)
-    assert len(payload) == len(rows) == count
-    for row, obj in zip(rows, payload):
-        assert list(obj) == header
-        assert all(_same_cell(v, row[k]) for k, v in obj.items()), (row, obj)
+    code, out, _ = _json_agrees_with_csv(argv)
+    if code == 0:
+        assert len(csv_rows(out)[1]) == count
+
+
+_CP2_RADIUS = st.one_of(st.floats(1e-3, 1e3), st.floats(1e-200, 1e200))
+_PAGE_RADIUS = st.one_of(st.floats(0.01, 3.13), st.floats(1e-9, 4.0))
+
+
+@st.composite
+def _index_argv(draw):
+    space = draw(st.sampled_from(["cp2", "page"]))
+    radius = _CP2_RADIUS if space == "cp2" else _PAGE_RADIUS
+    how = draw(st.sampled_from(["--r", "--scan", "--roots"][: 2 if space == "cp2" else 3]))
+    argv = ["index", space, how]
+    if how == "--r":
+        argv.append(repr(draw(radius)))
+    elif how == "--scan":
+        rmin, rmax = sorted([draw(radius), draw(radius)])
+        argv += [repr(rmin), repr(rmax), str(draw(st.integers(2, 8)))]
+    return argv + ["--depth", str(draw(st.integers(1, 40)))]
+
+
+_PIECEWISE_ARGV = st.builds(
+    lambda flag, i, p, q: ["piecewise", flag, str(i), "--xmax", f"{p}/{q}"],
+    st.sampled_from(["--index", "--slot"]),
+    st.integers(1, 11),
+    st.integers(1, 60),
+    st.integers(1, 3),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    argv=st.one_of(_index_argv(), _PIECEWISE_ARGV, st.sampled_from([["plotdata", f"fig{k}"] for k in (1, 2, 3)])),
+    precision=st.one_of(st.none(), st.integers(1, 30)),
+)
+@example(argv=["plotdata", "fig3"], precision=17)
+@example(argv=["index", "page", "--roots", "--depth", "25"], precision=30)
+@example(argv=["index", "cp2", "--r", "1e-160", "--depth", "25"], precision=None)
+def test_index_piecewise_and_plotdata_json_agree_with_csv(argv, precision):
+    _json_agrees_with_csv(argv if precision is None else [*argv, "--precision", str(precision)])
 
 
 def _peak_over_output(argv):

@@ -229,6 +229,28 @@ def test_page_constants_root_count_stays_cached():
             lambda: SliceGeometry(0.5, 0.25, Fraction(0), CP2_AMBIENT),
             "slice parameter r = 0.5 is out of range: coefficient x = Fraction(0, 1) is not finite and positive",
         ),
+        # bool subclasses int: True read as 1 and False as 0
+        (lambda: Mode(True, 1), "mode indices must be integers, got (True, 1)"),
+        (lambda: Mode(0, False), "mode indices must be integers, got (0, False)"),
+        (lambda: SpectrumEntry(1.0, True), "multiplicity must be a positive integer, got True"),
+        (
+            lambda: EinsteinAmbient(True, 6.0, "hypersurface"),
+            "ambient dimension must be a positive integer, got True",
+        ),
+        # a NaN s made is_unstable say "not implied" and the two slice paths
+        # disagree; an infinite one gave the composed path a -inf bound
+        (
+            lambda: EinsteinAmbient(4, float("nan"), "hypersurface"),
+            "ambient scalar curvature s must be finite, got nan",
+        ),
+        (
+            lambda: EinsteinAmbient(4, float("inf"), "hypersurface"),
+            "ambient scalar curvature s must be finite, got inf",
+        ),
+        (
+            lambda: EinsteinAmbient(4, -float("inf"), "hypersurface"),
+            "ambient scalar curvature s must be finite, got -inf",
+        ),
     ],
 )
 def test_validation_messages(build, message):

@@ -269,11 +269,11 @@ def test_the_merge_gets_the_exact_x(family):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(slices, "_merge", lambda P, Q, count: calls.append((P, Q)) or _merge(P, Q, count))
             try:
-                values, _ = slices._shifted_spectrum(geom, depth, 0.25)
+                groups, value = slices._slice_merge(geom, depth, 0.25)
             except ValueError:  # a value overflows: the domain error, tested elsewhere
                 return
         assert calls == [(geom.x.numerator, geom.x.denominator)]
-        assert values == [float(v) / geom.f - 0.25 for v, _ in distinct_spectrum_at(geom.x, depth)]
+        assert list(map(value, groups)) == [float(v) / geom.f - 0.25 for v, _ in distinct_spectrum_at(geom.x, depth)]
 
     check()
 
@@ -320,7 +320,7 @@ def test_a_row_sums_and_computes_only_what_its_report_holds():
         assert rep == _assert_same_report(geom, 25)
         assert len(sums) == len(rep.witnesses) == counted
         assert [m for _, m, _ in rep.witnesses] == [_total_multiplicity(pairs) for pairs in sums]
-        assert len(values) <= counted + 4  # the first, the counted ones and the next, the last and the second
+        assert len(values) <= counted + 3  # the counted ones (the first too), the next, the last and the second
 
 
 def test_slice_index_nullity_rejects_bad_depth_and_tolerance():

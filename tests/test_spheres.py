@@ -65,3 +65,10 @@ def test_input_validation():
     for call in (lambda: sphere_eigenvalue(1, 0), lambda: sphere_multiplicity(1, 0), lambda: sphere_spectrum(0, 1)):
         with pytest.raises(ValueError, match=r"^sphere dimension must be a positive integer, got 0$"):
             call()
+    # bool subclasses int: sphere_spectrum(True, 1) was the circle's spectrum
+    for call in (lambda: sphere_spectrum(True, 1), lambda: sphere_multiplicity(1, True)):
+        with pytest.raises(ValueError, match=r"^sphere dimension must be a positive integer, got True$"):
+            call()
+    for call, k in ((lambda: sphere_spectrum(3, True), True), (lambda: sphere_eigenvalue(False, 3), False)):
+        with pytest.raises(ValueError, match=rf"^harmonic degree must be a non-negative integer, got {k}$"):
+            call()

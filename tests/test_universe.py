@@ -12,20 +12,14 @@ import contextlib
 import hashlib
 import io
 import json
-import math
-import sys
 from pathlib import Path
 
 import pytest
 
 from bergerspec import cli
+from oracles import BENCH, json_problem, oracle
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
-if str(BENCH) not in sys.path:
-    sys.path.insert(0, str(BENCH))
-
-import oracle  # noqa: E402
-import workloads  # noqa: E402
+import workloads  # from BENCH, which importing oracles puts on sys.path
 
 # md5 over f"{code}\0{stdout}\0{stderr}" of every run, in order.  A change
 # that alters output on purpose re-pins it here and says why in CHANGES.md.
@@ -86,40 +80,10 @@ def test_every_plain_run_passes_the_benchmark_oracle(universe):
     assert not failures, _report(failures, len(universe))
 
 
-def _same(value, text):
-    """A JSON cell against its CSV text: int as str(v), float as float(text), str as is."""
-    if type(value) is int:
-        return str(value) == text
-    if type(value) is float:
-        want = float(text)
-        return value == want or (math.isnan(value) and math.isnan(want))
-    return type(value) is str and value == text
-
-
-def _json_problem(csv_run, json_run):
-    """The first way the JSON run disagrees with the CSV run, or None."""
-    (code, text, _), (json_code, json_text, _) = csv_run, json_run
-    if code != json_code:
-        return f"exit {code} as CSV, {json_code} as JSON"
-    if code != 0:
-        return None
-    header, rows = oracle.parse(text)
-    payload = json.loads(json_text)
-    if len(payload) != len(rows):
-        return f"{len(rows)} CSV rows, {len(payload)} JSON rows"
-    for n, (row, obj) in enumerate(zip(rows, payload)):
-        if list(obj) != header:
-            return f"row {n}: JSON keys {list(obj)} != CSV header {header}"
-        for k, v in obj.items():
-            if not _same(v, row[k]):
-                return f"row {n} {k}: JSON {v!r} != CSV {row[k]!r}"
-    return None
-
-
 def test_every_json_run_agrees_with_its_csv(universe):
     failures = []
     for argv, (plain, _, as_json) in universe:
-        problem = _json_problem(plain, as_json)
+        problem = json_problem(plain, as_json)
         if problem is not None:
             failures.append((argv, problem))
     assert not failures, _report(failures, len(universe))
