@@ -202,42 +202,32 @@ def _merge(P: int, Q: int, count: int) -> list[tuple[int, list[tuple[int, int]]]
     Returns [(n, [(k, q), ...]), ...]: one entry per distinct value n/Q,
     ascending, with every mode (k, q) attaining it, in the order
     distinct_spectrum_at documents.  P/Q need not be in lowest terms.
-    The values are a k-way heap merge, in integers, of one sorted stream
-    of modes per k; a mode returned costs one heap sift, logarithmic in
-    the number of open streams, and one integer add.  At P = Q every
-    stream is constant and its modes come out in ascending q.
+    The values are a heap merge, in integers, of the q-columns: column q
+    is the modes (k, q), k = q, q + 2, ..., whose numerators
+    k(k+2) Q + q^2 (P - Q) rise by (4k + 8) Q per step, without end.
+    Column q + 1 starts above column q and opens when column q's first
+    mode leaves, so the heap holds one entry per column that has returned
+    a mode, plus the next column's first mode; a mode costs one heap sift.
     """
-    slope = P - Q
-    step = 2 if slope >= 0 else -2
-    rise = step * slope  # q^2 (P - Q) grows by (2q + step) * rise per step of q
-    heapreplace, heappush, heappop = heapq.heapreplace, heapq.heappush, heapq.heappop
-    # an entry is (numerator, k, position i of q in stream k, q); the keys
-    # (num, k, i) are distinct, so q is never compared and the pop order is
-    # total.  Stream k + 2 starts above stream k: it opens when i = 0 leaves.
-    heap = [(0, 0, 0, 0), (3 * Q + slope, 1, 0, 1)]
+    sign = 1 if P >= Q else -1
+    step, head, rise = 4 * Q, Q + Q + P, P + P  # column q + 1 starts head + q * rise above column q
+    heapreplace, heappush = heapq.heapreplace, heapq.heappush
+    heap = [(0, 0, 0)]  # (numerator, k, sign * q): distinct keys, ordering a value's modes as documented
     groups: list[tuple[int, list[tuple[int, int]]]] = []
     last = -1  # numerators are non-negative
     while True:
-        num, k, i, q = heap[0]
+        num, k, s = heap[0]
         if num != last:
             if len(groups) == count:
                 return groups
             last = num
             pairs: list[tuple[int, int]] = []
             groups.append((num, pairs))
+        q = s * sign
         pairs.append((k, q))
-        if i == 0:  # stream k + 2 opens
-            kk = k + 2
-            qq = kk if step < 0 else k & 1
-            first = (kk * (kk + 2) * Q + qq * qq * slope, kk, 0, qq)
-        if i < k >> 1:
-            heapreplace(heap, (num + (q + q + step) * rise, k, i + 1, q + step))
-            if i == 0:
-                heappush(heap, first)
-        elif i == 0:
-            heapreplace(heap, first)
-        else:
-            heappop(heap)
+        heapreplace(heap, (num + step * (k + 2), k + 2, s))
+        if k == q:  # column q + 1 opens
+            heappush(heap, (num + head + q * rise, q + 1, s + sign))
 
 
 def _round_columns(count: int) -> tuple[list[int], list[str], list[str], list[str], list[int]]:
@@ -289,7 +279,8 @@ def distinct_spectrum_at(
 
     Each value carries every mode attaining it, ordered by k and then by
     q, ascending for x >= 1 and descending for x < 1.  They come from one
-    integer merge (`_merge`), at a cost proportional to the modes returned.
+    integer merge (`_merge`), at one heap sift per mode returned, on a heap
+    of one entry per q-column that has returned a mode, plus one.
     """
     xf = _as_positive_fraction(x, "x")
     _check_count(count)

@@ -20,12 +20,10 @@ handler is the one place where exact values become text: it writes them
 as str, so every column holds cells of one type, int, str or float.
 
 `main` can be called many times in one process.  The option tables
-(`COMMANDS`) are module constants, read by a small parser of their own, and
-`build_parser` is a cheap wrapper over them.  The packaged Page constants
-are read and validated once, on the first request that needs them; a
---page-config file is read and validated on every request.  The
-exact Page root count is kept with the constants object, so it follows
-the same rule; each page request makes one bisection to its --tol.
+(`COMMANDS`) are module constants, read by a small parser of their own.
+The packaged Page constants are read and validated once, on the first
+request that needs them, and a --page-config file on every request; the
+exact root count and the ambient are kept with the constants object.
 """
 
 from __future__ import annotations
@@ -189,9 +187,6 @@ def handle_berger(args: SimpleNamespace) -> Table:
     The columns come from `berger._spectrum_columns` at x = P/Q.  Value n
     is s m / Q for the scale s and its merge numerator m: the true division
     (s.numerator m) / (s.denominator Q) of two ints, correctly rounded.
-    The cost is proportional to the output, which grows faster than
-    --count: at x = 1 value n has the modes (n, q) for q = n mod 2, ..., n,
-    so --count c prints about c^2/4 labels.
     """
     if (args.t is None) == (args.epsilon is None):
         raise ValueError("exactly one of --t and --epsilon is required")
@@ -270,9 +265,7 @@ def _index_row(r: float, report: IndexNullityReport) -> tuple:
 def handle_index(args: SimpleNamespace) -> Table:
     """Index and nullity rows at --r, along --scan, or the page --roots.
 
-    A row costs one integer merge of --depth distinct values plus the few
-    values it prints (`slice_index_nullity`), so a --scan RMIN RMAX STEPS
-    costs one such merge per step.  --depth, positive and at most
+    A row is one `slice_index_nullity`.  --depth, positive and at most
     MAX_DEPTH, is checked before any root or row is computed.
     """
     if (args.r is not None) + (args.scan is not None) + args.roots != 1:

@@ -34,6 +34,10 @@ class EinsteinAmbient(_Record):
 
     def __init__(self, n: int, s: float, validity: str, name: str = "") -> None:
         _check_count(n, "ambient dimension")
+        try:
+            float(n)  # the shift s/n converts n; n is named by its size: its digits may not print
+        except OverflowError:
+            raise ValueError(f"ambient dimension must convert to a float, got {n.bit_length()} bits") from None
         if not math.isfinite(s):  # a NaN or infinite shift has no sign and no index
             raise ValueError(f"ambient scalar curvature s must be finite, got {s!r}")
         if validity not in _SUPPORTED_VALIDITY + ("general",):

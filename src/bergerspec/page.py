@@ -65,6 +65,10 @@ class PageConstants(_Record):
         return 3.0 * (1.0 + self.a2)
 
     def ambient(self) -> EinsteinAmbient:
+        return self._ambient
+
+    @functools.cached_property
+    def _ambient(self) -> EinsteinAmbient:  # one per constants object, as `root_count`
         return EinsteinAmbient(n=4, s=self.s, validity="hypersurface", name="Page space")
 
     def PQ(self, r: float) -> tuple[float, float]:
@@ -97,11 +101,15 @@ class PageConstants(_Record):
 
     def x(self, r: float) -> Fraction:
         """Squash coordinate t^{-3} = (f V / D^2) / sin^2 r, exact in the floats f V / D^2 and sin r."""
+        return self._f_x(r)[1]
+
+    def _f_x(self, r: float) -> tuple[float, Fraction]:  # (f(r), x(r)) from one `_sine` and one `PQ`
         s = self._sine(r)
         P, Q = self.PQ(r)
-        n, d = (self.f_const * P * (P / Q) / (self.D * self.D)).as_integer_ratio()
+        f = self.f_const * P
+        n, d = (f * (P / Q) / (self.D * self.D)).as_integer_ratio()
         sn, sd = s.as_integer_ratio()
-        return Fraction(n * sd * sd, d * sn * sn)
+        return f, Fraction(n * sd * sd, d * sn * sn)
 
     def t(self, r: float) -> float:
         """Squash parameter U^{-2/3} (D sin r)^{2/3} f^{-1/3}."""
@@ -233,7 +241,8 @@ def _default_constants() -> PageConstants:
 def page_slice(r: float, constants: PageConstants | None = None) -> SliceGeometry:
     """The totally geodesic Berger sphere at parameter r in (0, pi)."""
     c = constants or _default_constants()
-    return SliceGeometry(r=r, f=c.f(r), x=c.x(r), ambient=c.ambient())
+    f, x = c._f_x(r)
+    return SliceGeometry(r=r, f=f, x=x, ambient=c._ambient)
 
 
 def page_shifted_lambda1(r: float, constants: PageConstants | None = None) -> float:
@@ -269,10 +278,12 @@ def page_transition_roots(
             f"expected exactly 2 zeros of the shifted first eigenvalue, found {c.root_count}"
         )
 
+    f_const, D, shift, PQ, sin = c.f_const, c.D, c.shift, c.PQ, math.sin  # bound once per call
+
     def cleared(r: float) -> float:  # the value times f_const P Q D^2 sin^2 r > 0, finite at 0
-        P, Q = c.PQ(r)
-        s = math.sin(r)
-        return c.f_const * P * P + Q * c.D * c.D * s * s * (2.0 - c.shift * c.f_const * P)
+        P, Q = PQ(r)
+        s = sin(r)
+        return f_const * P * P + Q * D * D * s * s * (2.0 - shift * f_const * P)
 
     r1 = find_root_bisection(cleared, 0.0, math.pi / 2, tol)
     return r1, math.pi - r1

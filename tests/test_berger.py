@@ -2,7 +2,9 @@
 
 import contextlib
 import csv
+import heapq
 import io
+import math
 import random
 from fractions import Fraction
 
@@ -293,6 +295,69 @@ def test_merge_matches_brute_force_grouping_at_random_x(P, Q, count):
 )
 def test_merge_matches_brute_force_grouping_at_slice_x(x, count):
     _check_merge(x.numerator, x.denominator, [count])
+
+
+# the x of cp2 radii past the range above, and of Page radii next to 0 and pi,
+# where sin^2 r is small and x is far above 1
+@settings(max_examples=60, deadline=None)
+@given(
+    x=st.one_of(
+        st.floats(min_value=1e3, max_value=1e6).map(lambda r: cp2_slice(r).x),
+        st.floats(min_value=1e-9, max_value=1e-2).map(lambda r: page_slice(r).x),
+        st.floats(min_value=1e-9, max_value=1e-2).map(lambda d: page_slice(math.pi - d).x),
+    ),
+    count=st.integers(1, 60),
+)
+def test_merge_matches_brute_force_at_large_slice_x(x, count):
+    _check_merge(x.numerator, x.denominator, [count])
+
+
+class _CountingHeapq:
+    """The heap functions `_merge` calls, counting calls and the largest heap seen."""
+
+    def __init__(self):
+        self.calls = {"heappush": 0, "heapreplace": 0, "heappop": 0}
+        self.largest = 0
+
+    def __getattr__(self, name):
+        fn = getattr(heapq, name)
+
+        def counted(heap, *args):
+            self.calls[name] += 1
+            self.largest = max(self.largest, len(heap) + (name == "heappush"))
+            return fn(heap, *args)
+
+        return counted
+
+
+# r >= 49 puts the first value of column q = 1, 2 + x with x = 1 + r^2, above
+# the 25th of column 0, 48 * 50: one column holds the whole depth-25 answer
+@pytest.mark.parametrize("r", [49.0, 100.0, 1000.0])
+def test_a_one_column_merge_keeps_two_heap_entries(monkeypatch, r):
+    x = cp2_slice(r).x
+    counting = _CountingHeapq()
+    monkeypatch.setattr(berger, "heapq", counting)
+    groups = berger._merge(x.numerator, x.denominator, 25)
+    assert [pairs for _, pairs in groups] == [[(k, 0)] for k in range(0, 50, 2)]
+    assert (counting.calls["heappush"], counting.calls["heappop"], counting.largest) == (1, 0, 2)
+
+
+# the heap holds one entry per q-column that has returned a mode, plus the
+# next column's first mode, so its largest size is the largest q returned + 2
+@pytest.mark.parametrize(
+    "P, Q, count",
+    [(1, 1, 60), (2, 1, 60), (1, 2, 60), (13, 12, 120), (11, 12, 120), (10**6 + 1, 10**6, 50), (1, 9, 40)],
+)
+def test_merge_heap_holds_one_entry_per_open_column(monkeypatch, P, Q, count):
+    counting = _CountingHeapq()
+    monkeypatch.setattr(berger, "heapq", counting)
+    groups = berger._merge(P, Q, count)
+    top = max(q for _, pairs in groups for _, q in pairs)
+    assert counting.largest == top + 2
+    assert counting.calls["heappush"] == top + 1
+    assert counting.calls["heappop"] == 0
+    monkeypatch.undo()
+    _check_merge(P, Q, [count])
 
 
 # x = 1 +- 1/Q with Q near 2^60: every stream is a run of distinct values, none tied

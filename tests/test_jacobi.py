@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +41,18 @@ def test_ambient_validation():
         EinsteinAmbient(n=0, s=1.0, validity="hypersurface")
     with pytest.raises(ValueError):
         EinsteinAmbient(n=4, s=1.0, validity="nonsense")
+
+
+# 10**5000 has more digits than the default int-to-str limit; 2^1024 - 2^970 is
+# the least int that float() rounds past the largest float, 2^1024 - 2^971
+@pytest.mark.parametrize("n", [10**400, 10**5000, (1 << 1024) - (1 << 970)], ids=["1e400", "1e5000", "halfway"])
+def test_ambient_dimension_past_the_float_range_is_refused(n):
+    message = f"ambient dimension must convert to a float, got {n.bit_length()} bits"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        EinsteinAmbient(n, 6.0, "hypersurface")
+    big = EinsteinAmbient((1 << 1024) - (1 << 971), 6.0, "hypersurface")
+    assert 0 < jacobi_shift(big) < 1e-300
+    assert is_unstable(big).certificate == -jacobi_shift(big)
 
 
 def test_jacobi_spectrum_shift():

@@ -265,6 +265,43 @@ def test_root_count_runs_once_per_constants_object(monkeypatch):
     assert len(counted) == 2 and counted[1] is fresh
 
 
+def _method_cleared(c, r):
+    """The cleared value page_transition_roots bisects, through the constants' attributes."""
+    P, Q = c.PQ(r)
+    s = math.sin(r)
+    return c.f_const * P * P + Q * c.D * c.D * s * s * (2.0 - c.shift * c.f_const * P)
+
+
+@pytest.mark.parametrize("f_const", [None, "1.2"])  # the packaged file, and a valid copy with another f_const
+def test_transition_roots_are_the_bisection_of_the_method_based_value(tmp_path, consts, f_const):
+    c = consts if f_const is None else page_constants(path=_config_with(tmp_path, consts, "f_const", f_const))
+    assert c.f_const == (consts.f_const if f_const is None else 1.2)
+    for tol in [10.0**-e for e in range(3, 15)]:
+        r1 = find_root_bisection(functools.partial(_method_cleared, c), 0.0, math.pi / 2, tol)
+        assert page_transition_roots(tol, c) == (r1, math.pi - r1), tol
+
+
+@pytest.mark.parametrize("f_const", [None, "1.2"])
+def test_page_slice_is_the_methods_bit_for_bit(tmp_path, consts, f_const):
+    c = consts if f_const is None else page_constants(path=_config_with(tmp_path, consts, "f_const", f_const))
+    rng = random.Random(240)
+    radii = _grid(128) + [rng.uniform(1e-9, math.pi - 1e-9) for _ in range(120)] + [1e-160, 2.2e-150]
+    for r in radii:
+        g = page_slice(r, c)
+        assert (g.f, g.x, g.ambient) == (c.f(r), c.x(r), c.ambient()), r
+    # one ambient per constants object; an equal new object builds its own
+    assert c.ambient() is c.ambient() is page_slice(1.0, c).ambient
+    fresh = page_constants()
+    assert fresh.ambient() == consts.ambient() and fresh.ambient() is not consts.ambient()
+
+
+@pytest.mark.parametrize("r", [math.inf, -math.inf])
+def test_infinite_slice_parameter_is_named(consts, r):
+    for fn in (page_slice, lambda r, c: c.x(r)):
+        with pytest.raises(ValueError, match=r"^slice parameter must lie in \(0, pi\), got -?inf$"):
+            fn(r, consts)
+
+
 @pytest.fixture(scope="module")
 def cleared(consts):
     """The function page_transition_roots bisects, caught on its way in."""
