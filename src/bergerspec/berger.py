@@ -153,18 +153,14 @@ def beta_branch(l: int) -> AffineBranch:
     return branch_of(Mode(l, 0))
 
 
-def _total_multiplicity(pairs: list[tuple[int, int]]) -> int:
-    """Summed multiplicity of the modes (k, q) attaining one value.
+def _multiplicity(mode: tuple[int, int]) -> int:
+    """Multiplicity of the mode (k, q): k+1 for q = 0, else 2(k+1).
 
-    A mode has multiplicity k+1 for q = 0, else 2(k+1).  The rule is fixed
-    by the round-sphere totals: at t = 1 the modes with fixed k must sum
-    to the harmonic dimension (k+1)^2, and each q > 0 carries the two
-    circle-weight signs.
+    The round-sphere totals fix the rule: at t = 1 the modes of one k sum to the
+    harmonic dimension (k+1)^2, and each q > 0 carries the two circle-weight signs.
     """
-    total = 0
-    for k, q in pairs:  # a plain loop: no comprehension frame per value
-        total += k + 1 if q == 0 else 2 * (k + 1)
-    return total
+    k, q = mode
+    return k + 1 if q == 0 else 2 * (k + 1)
 
 
 def _as_positive_fraction(x: int | Fraction | str, name: str) -> Fraction:
@@ -196,38 +192,49 @@ def _check_count(count: int, name: str = "count") -> None:
         raise ValueError(f"{name} must be a positive integer, got {count!r}")
 
 
-def _merge(P: int, Q: int, count: int) -> list[tuple[int, list[tuple[int, int]]]]:
-    """The `count` smallest distinct branch values at x = P/Q, as numerators over Q.
+def _modes(P: int, Q: int, count: int) -> list[tuple[int, int, int]]:
+    """Every mode (n, k, q) of the `count` smallest distinct values n/Q at x = P/Q.
 
-    Returns [(n, [(k, q), ...]), ...]: one entry per distinct value n/Q,
-    ascending, with every mode (k, q) attaining it, in the order
-    distinct_spectrum_at documents.  P/Q need not be in lowest terms.
-    The values are a heap merge, in integers, of the q-columns: column q
-    is the modes (k, q), k = q, q + 2, ..., whose numerators
-    k(k+2) Q + q^2 (P - Q) rise by (4k + 8) Q per step, without end.
-    Column q + 1 starts above column q and opens when column q's first
-    mode leaves, so the heap holds one entry per column that has returned
-    a mode, plus the next column's first mode; a mode costs one heap sift.
+    Ordered by n, then k, then q (one k ties only at x = 1); P/Q need not be in
+    lowest terms.  A heap merges, in integers, the q-columns: column q is the
+    modes (k, q), k = q, q + 2, ..., whose numerators k(k+2) Q + q^2 (P - Q)
+    rise by (4k + 8) Q per step.  Column q + 1 starts above column q and opens
+    when column q's first mode leaves, so the heap holds one entry per column
+    that has returned a mode, plus one.  A mode costs one sift and is the entry it pops.
     """
-    sign = 1 if P >= Q else -1
     step, head, rise = 4 * Q, Q + Q + P, P + P  # column q + 1 starts head + q * rise above column q
     heapreplace, heappush = heapq.heapreplace, heapq.heappush
-    heap = [(0, 0, 0)]  # (numerator, k, sign * q): distinct keys, ordering a value's modes as documented
-    groups: list[tuple[int, list[tuple[int, int]]]] = []
+    heap = [(0, 0, 0)]  # (n, k, q), distinct: a tie in (n, k) needs x = 1
+    modes: list[tuple[int, int, int]] = []
+    append = modes.append
     last = -1  # numerators are non-negative
     while True:
-        num, k, s = heap[0]
+        num, k, q = heap[0]
         if num != last:
-            if len(groups) == count:
-                return groups
+            if not count:
+                return modes
+            count -= 1
             last = num
-            pairs: list[tuple[int, int]] = []
-            groups.append((num, pairs))
-        q = s * sign
-        pairs.append((k, q))
-        heapreplace(heap, (num + step * (k + 2), k + 2, s))
+        append(heapreplace(heap, (num + step * (k + 2), k + 2, q)))
         if k == q:  # column q + 1 opens
-            heappush(heap, (num + head + q * rise, q + 1, s + sign))
+            heappush(heap, (num + head + q * rise, q + 1, q + 1))
+
+
+def _merge(P: int, Q: int, count: int) -> list[tuple[int, list[tuple[int, int]]]]:
+    """`_modes(P, Q, count)` grouped by value: [(n, [(k, q), ...]), ...].
+
+    One entry per distinct value n/Q, ascending, with every mode (k, q)
+    attaining it, in the order distinct_spectrum_at documents.
+    """
+    groups: list[tuple[int, list[tuple[int, int]]]] = []
+    last = -1
+    for n, k, q in _modes(P, Q, count):  # a plain loop: about 30% faster than groupby here
+        if n != last:
+            last = n
+            pairs: list[tuple[int, int]] = []
+            groups.append((n, pairs))
+        pairs.append((k, q))
+    return groups
 
 
 def _round_columns(count: int) -> tuple[list[int], list[str], list[str], list[str], list[int]]:
@@ -252,24 +259,27 @@ def _round_columns(count: int) -> tuple[list[int], list[str], list[str], list[st
 
 
 def _spectrum_columns(x: Fraction, count: int, with_multiplicity: bool) -> tuple:
-    """`_round_columns`' columns at x: its closed form at x = 1, else read from `_merge`."""
+    """`_round_columns`' columns at x: its closed form at x = 1, else one pass over `_modes`.
+
+    A value's first mode opens its row; a later mode of it extends the label and multiplicity.
+    """
     if x == 1:
         return _round_columns(count)
-    groups = _merge(x.numerator, x.denominator, count)
-    firsts = [pairs[0] for _, pairs in groups]
-    return (
-        [m for m, _ in groups],
-        [str(k * (k + 2) - q * q) for k, q in firsts],
-        [str(q * q) for _, q in firsts],
-        # a one-mode label is one f-string, about half the cost of a join over one pair
-        [
-            f"({pairs[0][0]},{pairs[0][1]})"
-            if len(pairs) == 1
-            else "+".join([f"({k},{q})" for k, q in pairs])
-            for _, pairs in groups
-        ],
-        [_total_multiplicity(pairs) for _, pairs in groups] if with_multiplicity else None,
-    )
+    nums, As, Bs, labels, mults = [], [], [], [], []
+    last = -1
+    for n, k, q in _modes(x.numerator, x.denominator, count):
+        m = k + 1 if q == 0 else 2 * k + 2  # `_multiplicity`, inline: no call per mode
+        if n != last:
+            last = n
+            nums.append(n)
+            As.append(str(k * (k + 2) - q * q))
+            Bs.append(str(q * q))
+            labels.append(f"({k},{q})")
+            mults.append(m)
+        else:
+            labels[-1] += f"+({k},{q})"
+            mults[-1] += m
+    return nums, As, Bs, labels, mults if with_multiplicity else None
 
 
 def distinct_spectrum_at(
@@ -277,10 +287,10 @@ def distinct_spectrum_at(
 ) -> list[tuple[Fraction, list[Mode]]]:
     """The `count` smallest distinct branch values A + B*x, exactly.
 
-    Each value carries every mode attaining it, ordered by k and then by
-    q, ascending for x >= 1 and descending for x < 1.  They come from one
-    integer merge (`_merge`), at one heap sift per mode returned, on a heap
-    of one entry per q-column that has returned a mode, plus one.
+    Each value carries every mode attaining it, ordered by k, and at x = 1
+    by q ascending.  They come from one integer merge (`_modes`, grouped by
+    `_merge`), at one heap sift per mode, on a heap of one entry per
+    q-column that has returned a mode, plus one.
     """
     xf = _as_positive_fraction(x, "x")
     _check_count(count)
@@ -296,7 +306,7 @@ def spectrum_with_multiplicity(
 ) -> list[tuple[Fraction, int, list[Mode]]]:
     """Like distinct_spectrum_at, adding the total multiplicity per value."""
     return [
-        (value, _total_multiplicity([(m.k, m.q) for m in modes]), modes)
+        (value, sum([_multiplicity((m.k, m.q)) for m in modes]), modes)
         for value, modes in distinct_spectrum_at(x, count)
     ]
 
@@ -414,8 +424,8 @@ def kth_distinct_piecewise(i: int, x_max: int | Fraction | str) -> list[Piecewis
     limit instead.
 
     The pool of lines is fixed in one pass.  Let top be the i-th nonzero
-    line value at x_max, n/Q at x_max = P/Q, from one integer merge
-    (`_merge`) of i + 1 values.  Every line is nondecreasing in x, so a
+    line value at x_max = P/Q, n/Q for mode i of one integer merge
+    (`_modes`) of i + 1 values.  Every line is nondecreasing in x, so a
     line with A > top lies strictly above the level on (0, x_max].  `_pool`
     lists every line with 0 < A <= n // Q as (A, B) pairs, from one
     `isqrt` bound per k <= top/2: O(pool) integer operations for
@@ -432,8 +442,7 @@ def kth_distinct_piecewise(i: int, x_max: int | Fraction | str) -> list[Piecewis
     _check_count(i, "position")
     xm = _as_positive_fraction(x_max, "x_max")
     Q = xm.denominator
-    # one entry per mode; entry 0 is the constant mode (0, 0)
-    top = [n for n, pairs in _merge(xm.numerator, Q, i + 1) for _ in pairs][i] // Q
+    top = _modes(xm.numerator, Q, i + 1)[i][0] // Q  # mode 0 is the constant mode (0, 0)
     return _level_cells(_pool(top), i, xm)  # the i lines at or below top at x_max are in it
 
 

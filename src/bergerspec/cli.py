@@ -40,7 +40,7 @@ from .berger import (  # noqa: F401  (distinct_spectrum_at, eleven_slot_table, s
     _as_positive_fraction,
     _check_count,
     _exact_text,
-    _merge,
+    _modes,
     _Record,
     _slot_cells,
     _spectrum_columns,
@@ -324,8 +324,8 @@ def handle_plotdata(args: SimpleNamespace) -> Table:
         for k in range(10, 241):
             t = Fraction(k, 200)
             x = 1 / t**3
-            groups = _merge(x.numerator, x.denominator, 12)
-            rows.append((float(t), *_values([m for m, _ in groups[1:]], t, x.denominator)))
+            nums = dict.fromkeys([n for n, _, _ in _modes(x.numerator, x.denominator, 12)])
+            rows.append((float(t), *_values([*nums][1:], t, x.denominator)))
         return comments, fields, list(zip(*rows))
     if args.figure == "fig2":
         comments = ["first Jacobi eigenvalue of the cp2 geodesic spheres: lambda_1(r) - 3/2"]
@@ -342,8 +342,9 @@ def handle_plotdata(args: SimpleNamespace) -> Table:
     for k in range(1, 512):
         r = k * math.pi / 512
         geom = page_slice(r, consts)
-        groups, value = _slice_merge(geom, 6, jacobi_shift(geom.ambient))
-        rows.append((r, *map(value, groups)))
+        shift = jacobi_shift(geom.ambient)
+        modes, Q, f, _ = _slice_merge(geom, 6, shift, _modes)
+        rows.append((r, *[n / Q / f - shift for n in dict.fromkeys([n for n, _, _ in modes])]))
     return comments, fields, list(zip(*rows))
 
 

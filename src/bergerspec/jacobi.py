@@ -16,7 +16,7 @@ value seen, so a truncated spectrum certifies its own completeness
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 
 from .berger import SpectrumEntry, _check_count, _check_positive, _Record
 
@@ -134,48 +134,40 @@ def index_nullity(
         raise ValueError("empty Jacobi spectrum")
     _check_ascending(values, "Jacobi spectrum")
     return _count_index_nullity(
-        jacobi, lambda e: e.value, lambda e: e.multiplicity, zero_tolerance, parameter=parameter, shift=shift
+        zip(range(len(values)), values, jacobi), lambda e: e.multiplicity, zero_tolerance, shift,
+        parameter=parameter, truncation_bound=values[-1], first_shifted=values[1] if len(values) > 1 else None,
     )
 
 
 def _count_index_nullity(
-    entries: list,
-    value: Callable[..., float],
-    multiplicity: Callable[..., int],
-    zero_tolerance: float,
-    *,
-    parameter: float,
-    shift: float,
+    entries: Iterable[tuple], multiplicity: Callable[..., int], zero_tolerance: float, shift: float, **report
 ) -> IndexNullityReport:
-    """The report on `entries`, whose shifted values `value(entry)` ascend.
+    """The report on `entries`, triples (key, shifted value, item) whose values ascend.
 
     The one counting loop of index_nullity and slice_index_nullity; each
-    checks its input first.  The count stops at the first value not
-    within zero_tolerance from above: the values ascend, so no later one
-    is counted, and none is computed.  `multiplicity(entry)` is taken only
-    for a counted entry.
+    checks its input first and passes the report's other fields.  Adjacent
+    entries with one key are one eigenvalue: one witness, multiplicities
+    summed.  The count stops at the first value not within zero_tolerance
+    from above, so no later entry is read, and `multiplicity(item)` is
+    taken only for a counted entry.
     """
-    index = 0
-    nullity = 0
+    index = nullity = 0
     witnesses: list[tuple[float, int, float]] = []
-    for entry in entries:
-        shifted = value(entry)
+    last = None
+    for key, shifted, item in entries:
         if not shifted <= zero_tolerance:
             break
-        mult = multiplicity(entry)
+        mult = multiplicity(item)
         if shifted < -zero_tolerance:
             index += mult
         else:
             nullity += mult
+        if key == last:  # another mode of the last witness's eigenvalue
+            mult += witnesses.pop()[1]
+        last = key
         witnesses.append((shifted + shift, mult, shifted))
     return IndexNullityReport(
-        parameter=parameter,
-        index=index,
-        nullity=nullity,
-        witnesses=tuple(witnesses),
-        zero_tolerance=zero_tolerance,
-        truncation_bound=value(entries[-1]),
-        first_shifted=value(entries[1]) if len(entries) > 1 else None,
+        index=index, nullity=nullity, witnesses=tuple(witnesses), zero_tolerance=zero_tolerance, **report
     )
 
 

@@ -26,8 +26,9 @@ from .berger import (  # noqa: F401  (spectrum_with_multiplicity: bench/tracing.
     _check_positive,
     _known_mode,
     _merge,
+    _modes,
+    _multiplicity,
     _Record,
-    _total_multiplicity,
     spectrum_with_multiplicity,
     tanno_lambda1,
 )
@@ -79,40 +80,35 @@ def slice_spectrum(geom: SliceGeometry, depth: int = DEFAULT_DEPTH) -> list[Spec
     Branch values are grouped exactly in the coordinate A + B x before the
     single division by f, so equal eigenvalues merge with summed
     multiplicities and no floating-point tolerance is involved.  Each
-    entry's value is `_slice_merge`'s with shift 0 and its source is the
+    entry's value is `_slice_merge`'s n / Q / f and its source is the
     first mode attaining it, so the constant eigenvalue has source Mode(0, 0).
     """
-    groups, value = _slice_merge(geom, depth, 0.0)
+    groups, Q, f, _ = _slice_merge(geom, depth, 0.0, _merge)
     return [
-        SpectrumEntry(value(group), _total_multiplicity(group[1]), _known_mode(*group[1][0]))
-        for group in groups
+        SpectrumEntry(n / Q / f, sum(map(_multiplicity, pairs)), _known_mode(*pairs[0])) for n, pairs in groups
     ]
 
 
-def _slice_merge(
-    geom: SliceGeometry, depth: int, shift: float
-) -> tuple[list[tuple[int, list[tuple[int, int]]]], Callable[[tuple], float]]:
-    """The merge groups (n, pairs) of the first `depth` distinct slice values, and their value function.
+def _slice_merge(geom: SliceGeometry, depth: int, shift: float, merge: Callable[[int, int, int], list]) -> tuple:
+    """`merge(P, Q, depth)` at the slice's x = P/Q, with Q, f and the last shifted value.
 
-    Every slice value is computed by the value function.  With x = P/Q one
-    integer merge (`_merge`) yields numerators n over Q, and a group's
-    value is n / Q / f - shift: the float n / Q of two ints is correctly
-    rounded, and so are / f and - shift, so the values ascend as the
-    numerators do.  A last value that is not finite (n / Q / f overflows
-    for f near the bottom of the float range) is a domain error that
-    names r: an inf bound would pass certification.
+    `merge` is `_modes` or `_merge`, whose entries start with a numerator n
+    over Q, ascending; its value is n / Q / f - shift.  The float n / Q of two
+    ints is correctly rounded, and so are / f and - shift, so the values
+    ascend as the numerators do.  A last value that is not finite (f near
+    the float range's bottom) is a domain error naming r: an inf bound
+    would pass certification.
     """
     _check_count(depth, "depth")
     Q, f = geom.x.denominator, geom.f
-    groups = _merge(geom.x.numerator, Q, depth)
-    value = lambda group: group[0] / Q / f - shift  # noqa: E731  (a closure: no attribute lookups per call)
-    bound = value(groups[-1])
+    entries = merge(geom.x.numerator, Q, depth)
+    bound = entries[-1][0] / Q / f - shift
     if not math.isfinite(bound):
         raise ValueError(
             f"slice parameter r = {geom.r!r} is out of range: "
             f"shifted eigenvalue {bound!r} is not finite at depth {depth}"
         )
-    return groups, value
+    return entries, Q, f, bound
 
 
 def slice_index_nullity(
@@ -124,22 +120,24 @@ def slice_index_nullity(
 
     The report, or the ValueError, is the one index_nullity gives for
     jacobi_spectrum(slice_spectrum(geom, depth), shift), at the cost of
-    one integer merge of `depth` distinct values plus the few values the
-    report prints: the first two, the last (the truncation bound) and the
-    counted prefix, up to the first value above zero_tolerance.  Only
-    the counted entries sum their multiplicities.  The merge's groups
-    ascend from its first, the zero eigenvalue, so the values do too, and
-    neither is re-checked here.
+    one integer merge of `depth` distinct values (`_modes`) plus the values
+    the report prints, read from its modes: the counted prefix and the next
+    mode, the second (n = 0 is the constant mode's alone) and the last, the
+    truncation bound.  Only counted modes give a multiplicity, summed per
+    value.  The modes ascend from the zero eigenvalue, so the values do
+    too, and neither is re-checked here.
     """
     shift = jacobi_shift(geom.ambient)
     if zero_tolerance is None:
         zero_tolerance = 1e-9 * max(1.0, abs(shift))
-    groups, value = _slice_merge(geom, depth, shift)
+    modes, Q, f, bound = _slice_merge(geom, depth, shift, _modes)
     _check_positive(zero_tolerance, "zero_tolerance")
+    first = modes[1][0] / Q / f - shift if len(modes) > 1 else None
     report = _count_index_nullity(
-        groups, value, lambda group: _total_multiplicity(group[1]), zero_tolerance, parameter=geom.r, shift=shift
+        ((n, n / Q / f - shift, (k, q)) for n, k, q in modes), _multiplicity, zero_tolerance, shift,
+        parameter=geom.r, truncation_bound=bound, first_shifted=first,
     )
-    if report.truncation_bound <= zero_tolerance:
+    if bound <= zero_tolerance:
         raise ValueError(
             f"depth {depth} does not reach past the shift {shift}; "
             "increase depth so the index count is certified complete"

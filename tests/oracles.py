@@ -39,7 +39,7 @@ def mode_value(m: Mode, t: float) -> float:
 
 
 def mode_multiplicity(m: Mode) -> int:
-    """Multiplicity k+1 for q = 0, else 2(k+1), written out apart from `_total_multiplicity`."""
+    """Multiplicity k+1 for q = 0, else 2(k+1), written out apart from `_multiplicity`."""
     return m.k + 1 if m.q == 0 else 2 * (m.k + 1)
 
 

@@ -266,6 +266,7 @@ def _check_merge(P: int, Q: int, counts) -> None:
     oracle = _merge_oracle(P, Q, max(counts))
     for count in counts:
         assert berger._merge(P, Q, count) == oracle[:count]
+        assert berger._modes(P, Q, count) == [(n, k, q) for n, pairs in oracle[:count] for k, q in pairs]
 
 
 # x = 1, also as 2/2, 7/7 and 10^6/10^6; x = 1 +- 1/Q; x far from 1 on both sides
@@ -385,7 +386,7 @@ def test_round_columns_are_the_merge_at_one_as_text(count):
         [str(k * (k + 2) - q * q) for (k, q), *_ in (pairs for _, pairs in groups)],
         [str(q * q) for (_, q), *_ in (pairs for _, pairs in groups)],
         ["+".join(f"({k},{q})" for k, q in pairs) for _, pairs in groups],
-        [berger._total_multiplicity(pairs) for _, pairs in groups],
+        [sum(map(berger._multiplicity, pairs)) for _, pairs in groups],
     )
     assert berger._round_columns(count) == want
 

@@ -264,14 +264,14 @@ def test_index_scan_builds_one_spectrum_per_row(capsys, monkeypatch, space):
     from bergerspec import berger, slices
 
     calls = []
-    original = berger._merge  # the integer merge behind every spectrum
+    original = berger._modes  # the integer merge behind every spectrum
 
     def counting(P, Q, count):
         calls.append(count)
         return original(P, Q, count)
 
     for module in (berger, slices):
-        monkeypatch.setattr(module, "_merge", counting)
+        monkeypatch.setattr(module, "_modes", counting)
     code, out, _ = run(capsys, "index", space, "--scan", "0.5", "2.5", "5", "--depth", "9")
     assert code == 0
     assert len(csv_rows(out)[1]) == 5
@@ -292,7 +292,7 @@ def test_index_depth_is_checked_before_any_root_or_row(capsys, monkeypatch, argv
 
     calls = []
     for module in (berger, slices, cli):
-        monkeypatch.setattr(module, "_merge", lambda *args: calls.append(args))
+        monkeypatch.setattr(module, "_modes", lambda *args: calls.append(args))
     monkeypatch.setattr(cli, "page_transition_roots", lambda *args: calls.append(args))
     assert run(capsys, "index", *argv) == (2, "", f"bergerspec: {message}\n")
     assert calls == []

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bergerspec import slices
-from bergerspec.berger import Mode, _merge, _total_multiplicity, distinct_spectrum_at, tanno_lambda1
-from bergerspec.jacobi import IndexNullityReport, index_nullity, jacobi_shift, jacobi_spectrum
+from bergerspec import berger, slices
+from bergerspec.berger import Mode, _modes, _multiplicity, distinct_spectrum_at, tanno_lambda1
+from bergerspec.jacobi import EinsteinAmbient, IndexNullityReport, index_nullity, jacobi_shift, jacobi_spectrum
 from bergerspec.page import page_constants, page_slice, page_transition_roots
 from bergerspec.slices import (
     SliceGeometry,
@@ -267,13 +267,18 @@ def test_the_merge_gets_the_exact_x(family):
             assert geom.x == _PAGE.x(r)
         calls = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(slices, "_merge", lambda P, Q, count: calls.append((P, Q)) or _merge(P, Q, count))
+            for module in (berger, slices):  # `slice_spectrum` merges through `_merge`, a row through `_modes`
+                mp.setattr(module, "_modes", lambda P, Q, count: calls.append((P, Q, count)) or _modes(P, Q, count))
             try:
-                groups, value = slices._slice_merge(geom, depth, 0.25)
+                spectrum = slice_spectrum(geom, depth)
             except ValueError:  # a value overflows: the domain error, tested elsewhere
                 return
-        assert calls == [(geom.x.numerator, geom.x.denominator)]
-        assert list(map(value, groups)) == [float(v) / geom.f - 0.25 for v, _ in distinct_spectrum_at(geom.x, depth)]
+            try:
+                slice_index_nullity(geom, depth)
+            except ValueError:  # depth does not reach past the shift
+                pass
+        assert calls == [(geom.x.numerator, geom.x.denominator, depth)] * 2
+        assert [e.value for e in spectrum] == [float(v) / geom.f for v, _ in distinct_spectrum_at(geom.x, depth)]
 
     check()
 
@@ -299,28 +304,53 @@ def test_slice_index_nullity_matches_at_the_page_roots():
             assert [m for _, m, _ in rep.witnesses] == [1, 4]
 
 
+# a counted value that two modes attain: (2,0) and (2,2) give 8 at x = 1,
+# and (1,1) and (2,0) tie at x = 6; each is one witness, its multiplicities summed
+@pytest.mark.parametrize(
+    "x, s, witnesses",
+    [
+        (1, 40.0, ((0.0, 1, -10.0), (3.0, 4, -7.0), (8.0, 9, -2.0))),
+        (6, 60.0, ((0.0, 1, -15.0), (8.0, 7, -7.0))),
+    ],
+)
+def test_a_value_that_two_modes_attain_is_one_witness(x, s, witnesses):
+    geom = SliceGeometry(r=1.0, f=1.0, x=Fraction(x), ambient=EinsteinAmbient(4, s, "hypersurface"))
+    rep = _assert_same_report(geom, 25)
+    assert rep.witnesses == witnesses
+    assert (rep.index, rep.nullity) == (sum(m for _, m, _ in witnesses), 0)
+
+
 def test_a_row_sums_and_computes_only_what_its_report_holds():
     # the report holds the first two values, the last and the counted prefix
-    # (one entry for cp2, two for Page between its roots); the other of the
-    # 25 values are not computed, and only the counted entries sum multiplicities
+    # (one mode for cp2, two for Page between its roots); a row computes a
+    # value only for a mode it reads, reads none of the other 25 or more
+    # modes, and only the counted modes give a multiplicity
     r1, r2 = page_transition_roots(1e-6, _PAGE)
-    slice_merge, sums, values = slices._slice_merge, [], []
+    sums, reads = [], []
 
-    def counting_merge(geom, depth, shift):
-        groups, value = slice_merge(geom, depth, shift)
-        return groups, lambda group: values.append(group) or value(group)
+    class Modes(list):
+        """The merge's modes, recording the position of each one read."""
+
+        def __iter__(self):
+            for i, mode in enumerate(list.__iter__(self)):
+                reads.append(i)
+                yield mode
+
+        def __getitem__(self, i):
+            reads.append(i % len(self))
+            return list.__getitem__(self, i)
 
     for geom, counted in ((cp2_slice(1.0), 1), (page_slice((r1 + r2) / 2, _PAGE), 2)):
         sums.clear()
-        values.clear()
+        reads.clear()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(slices, "_total_multiplicity", lambda pairs: sums.append(pairs) or _total_multiplicity(pairs))
-            mp.setattr(slices, "_slice_merge", counting_merge)
+            mp.setattr(slices, "_multiplicity", lambda mode: sums.append(mode) or _multiplicity(mode))
+            mp.setattr(slices, "_modes", lambda P, Q, count: Modes(_modes(P, Q, count)))
             rep = slice_index_nullity(geom, 25)
         assert rep == _assert_same_report(geom, 25)
         assert len(sums) == len(rep.witnesses) == counted
-        assert [m for _, m, _ in rep.witnesses] == [_total_multiplicity(pairs) for pairs in sums]
-        assert len(values) <= counted + 3  # the counted ones (the first too), the next, the last and the second
+        assert [m for _, m, _ in rep.witnesses] == [_multiplicity(mode) for mode in sums]
+        assert len(reads) <= counted + 3  # the counted ones (the first too), the next, the last and the second
 
 
 def test_slice_index_nullity_rejects_bad_depth_and_tolerance():
