@@ -29,7 +29,6 @@ import math
 import sys
 from collections.abc import Iterable
 from fractions import Fraction
-from itertools import starmap
 
 
 class _Record:
@@ -201,6 +200,7 @@ def _modes(P: int, Q: int, count: int) -> list[tuple[int, int, int]]:
     rise by (4k + 8) Q per step.  Column q + 1 starts above column q and opens
     when column q's first mode leaves, so the heap holds one entry per column
     that has returned a mode, plus one.  A mode costs one sift and is the entry it pops.
+    This is the one merge: each caller reads the modes flat, in one pass.
     """
     step, head, rise = 4 * Q, Q + Q + P, P + P  # column q + 1 starts head + q * rise above column q
     heapreplace, heappush = heapq.heapreplace, heapq.heappush
@@ -220,28 +220,11 @@ def _modes(P: int, Q: int, count: int) -> list[tuple[int, int, int]]:
             heappush(heap, (num + head + q * rise, q + 1, q + 1))
 
 
-def _merge(P: int, Q: int, count: int) -> list[tuple[int, list[tuple[int, int]]]]:
-    """`_modes(P, Q, count)` grouped by value: [(n, [(k, q), ...]), ...].
-
-    One entry per distinct value n/Q, ascending, with every mode (k, q)
-    attaining it, in the order distinct_spectrum_at documents.
-    """
-    groups: list[tuple[int, list[tuple[int, int]]]] = []
-    last = -1
-    for n, k, q in _modes(P, Q, count):  # a plain loop: about 30% faster than groupby here
-        if n != last:
-            last = n
-            pairs: list[tuple[int, int]] = []
-            groups.append((n, pairs))
-        pairs.append((k, q))
-    return groups
-
-
 def _round_columns(count: int) -> tuple[list[int], list[str], list[str], list[str], list[int]]:
-    """`_merge(1, 1, count)` as columns: numerators, A, B, labels, multiplicities.
+    """The `count` values at x = 1 as columns: numerators, A, B, labels, multiplicities.
 
     At x = 1 value k is k(k+2), attained by the modes (k, q) for
-    q = k mod 2, ..., k ascending, as `_merge` orders them: so A is
+    q = k mod 2, ..., k ascending, as `_modes(1, 1, count)` orders them: so A is
     k(k+2) - (k mod 2), B is k mod 2 and the multiplicity is (k+1)^2.  No
     mode is built: one list of the texts of 0..count-1 serves every label,
     so a label costs one join over a slice of it.
@@ -258,10 +241,11 @@ def _round_columns(count: int) -> tuple[list[int], list[str], list[str], list[st
     )
 
 
-def _spectrum_columns(x: Fraction, count: int, with_multiplicity: bool) -> tuple:
+def _spectrum_columns(x: Fraction, count: int) -> tuple:
     """`_round_columns`' columns at x: its closed form at x = 1, else one pass over `_modes`.
 
     A value's first mode opens its row; a later mode of it extends the label and multiplicity.
+    The multiplicities cost one add per mode and always come back; `handle_berger` decides whether to print them.
     """
     if x == 1:
         return _round_columns(count)
@@ -279,7 +263,7 @@ def _spectrum_columns(x: Fraction, count: int, with_multiplicity: bool) -> tuple
         else:
             labels[-1] += f"+({k},{q})"
             mults[-1] += m
-    return nums, As, Bs, labels, mults if with_multiplicity else None
+    return nums, As, Bs, labels, mults
 
 
 def distinct_spectrum_at(
@@ -288,17 +272,17 @@ def distinct_spectrum_at(
     """The `count` smallest distinct branch values A + B*x, exactly.
 
     Each value carries every mode attaining it, ordered by k, and at x = 1
-    by q ascending.  They come from one integer merge (`_modes`, grouped by
-    `_merge`), at one heap sift per mode, on a heap of one entry per
-    q-column that has returned a mode, plus one.
+    by q ascending.  They come from one integer merge (`_modes`), at one
+    heap sift per mode, on a heap of one entry per q-column that has
+    returned a mode, plus one; the modes are grouped by numerator as they arrive.
     """
     xf = _as_positive_fraction(x, "x")
     _check_count(count)
     Q = xf.denominator
-    return [
-        (Fraction(n, Q), list(starmap(_known_mode, pairs)))
-        for n, pairs in _merge(xf.numerator, Q, count)
-    ]
+    groups: dict[int, list[Mode]] = {}
+    for n, k, q in _modes(xf.numerator, Q, count):
+        groups.setdefault(n, []).append(_known_mode(k, q))
+    return [(Fraction(n, Q), modes) for n, modes in groups.items()]
 
 
 def spectrum_with_multiplicity(
@@ -456,7 +440,7 @@ _SLOT_CURVES = sorted(
 
 def _slot_curves(slot: int, name: str) -> list[tuple[int, int]]:
     """The lines of the curves ranked slot..12, whose lower envelope is table slot `slot`."""
-    if not 1 <= slot < len(_SLOT_CURVES):
+    if type(slot) is not int or not 1 <= slot < len(_SLOT_CURVES):  # a bool or a float is not a slot
         raise ValueError(f"{name} must be in 1..{len(_SLOT_CURVES) - 1}, got {slot!r}")
     return _SLOT_CURVES[slot - 1 :]
 
@@ -504,7 +488,7 @@ def tanno_lambda1(t: float) -> float:
     (mode (2,0)); the two branches agree at t^{-3} = 6.
     """
     _check_positive(t, "squash parameter t")
-    x = t ** -3
+    x = t ** -3 if t > 1e-100 else math.inf  # t^-3 overflows a float below about 1e-103
     return t * (2 + x) if x <= 6 else 8 * t
 
 

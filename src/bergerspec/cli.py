@@ -206,7 +206,7 @@ def handle_berger(args: SimpleNamespace) -> Table:
             f"(x = eps^-2 = {text})"
         ]
     _check_count(args.count, "--count")
-    nums, *texts, multiplicities = _spectrum_columns(x, args.count, args.with_multiplicity)
+    nums, *texts, multiplicities = _spectrum_columns(x, args.count)
     fields = ["n", "value", "A", "B", "mode"]
     columns = [list(range(args.count)), _values(nums, scale, x.denominator), *texts]
     if args.with_multiplicity:
@@ -343,7 +343,7 @@ def handle_plotdata(args: SimpleNamespace) -> Table:
         r = k * math.pi / 512
         geom = page_slice(r, consts)
         shift = jacobi_shift(geom.ambient)
-        modes, Q, f, _ = _slice_merge(geom, 6, shift, _modes)
+        modes, Q, f, _ = _slice_merge(geom, 6, shift)
         rows.append((r, *[n / Q / f - shift for n in dict.fromkeys([n for n, _, _ in modes])]))
     return comments, fields, list(zip(*rows))
 

@@ -25,7 +25,6 @@ from .berger import (  # noqa: F401  (spectrum_with_multiplicity: bench/tracing.
     _check_count,
     _check_positive,
     _known_mode,
-    _merge,
     _modes,
     _multiplicity,
     _Record,
@@ -79,21 +78,27 @@ def slice_spectrum(geom: SliceGeometry, depth: int = DEFAULT_DEPTH) -> list[Spec
 
     Branch values are grouped exactly in the coordinate A + B x before the
     single division by f, so equal eigenvalues merge with summed
-    multiplicities and no floating-point tolerance is involved.  Each
-    entry's value is `_slice_merge`'s n / Q / f and its source is the
-    first mode attaining it, so the constant eigenvalue has source Mode(0, 0).
+    multiplicities and no floating-point tolerance is involved.  One pass
+    reads `_slice_merge`'s modes: a value's first mode opens its entry, with
+    value n / Q / f and that mode as source, so the constant eigenvalue has
+    source Mode(0, 0), and every mode of the value adds its multiplicity.
     """
-    groups, Q, f, _ = _slice_merge(geom, depth, 0.0, _merge)
-    return [
-        SpectrumEntry(n / Q / f, sum(map(_multiplicity, pairs)), _known_mode(*pairs[0])) for n, pairs in groups
-    ]
+    modes, Q, f, _ = _slice_merge(geom, depth, 0.0)
+    entries = []
+    last = -1
+    for n, k, q in modes:
+        if n != last:
+            last = n
+            entry = [n / Q / f, 0, _known_mode(k, q)]
+            entries.append(entry)
+        entry[1] += _multiplicity((k, q))
+    return [SpectrumEntry(*entry) for entry in entries]
 
 
-def _slice_merge(geom: SliceGeometry, depth: int, shift: float, merge: Callable[[int, int, int], list]) -> tuple:
-    """`merge(P, Q, depth)` at the slice's x = P/Q, with Q, f and the last shifted value.
+def _slice_merge(geom: SliceGeometry, depth: int, shift: float) -> tuple:
+    """`_modes(P, Q, depth)` at the slice's x = P/Q, with Q, f and the last shifted value.
 
-    `merge` is `_modes` or `_merge`, whose entries start with a numerator n
-    over Q, ascending; its value is n / Q / f - shift.  The float n / Q of two
+    Mode (n, k, q) has value n / Q / f - shift.  The float n / Q of two
     ints is correctly rounded, and so are / f and - shift, so the values
     ascend as the numerators do.  A last value that is not finite (f near
     the float range's bottom) is a domain error naming r: an inf bound
@@ -101,14 +106,14 @@ def _slice_merge(geom: SliceGeometry, depth: int, shift: float, merge: Callable[
     """
     _check_count(depth, "depth")
     Q, f = geom.x.denominator, geom.f
-    entries = merge(geom.x.numerator, Q, depth)
-    bound = entries[-1][0] / Q / f - shift
+    modes = _modes(geom.x.numerator, Q, depth)
+    bound = modes[-1][0] / Q / f - shift
     if not math.isfinite(bound):
         raise ValueError(
             f"slice parameter r = {geom.r!r} is out of range: "
             f"shifted eigenvalue {bound!r} is not finite at depth {depth}"
         )
-    return entries, Q, f, bound
+    return modes, Q, f, bound
 
 
 def slice_index_nullity(
@@ -130,7 +135,7 @@ def slice_index_nullity(
     shift = jacobi_shift(geom.ambient)
     if zero_tolerance is None:
         zero_tolerance = 1e-9 * max(1.0, abs(shift))
-    modes, Q, f, bound = _slice_merge(geom, depth, shift, _modes)
+    modes, Q, f, bound = _slice_merge(geom, depth, shift)
     _check_positive(zero_tolerance, "zero_tolerance")
     first = modes[1][0] / Q / f - shift if len(modes) > 1 else None
     report = _count_index_nullity(

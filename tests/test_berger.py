@@ -36,7 +36,7 @@ from bergerspec.berger import (
 from bergerspec.cli import main
 from bergerspec.page import page_slice
 from bergerspec.slices import cp2_slice
-from oracles import enumerate_modes, mode_multiplicity, mode_value
+from oracles import enumerate_modes, heat_trace_error, mode_multiplicity, mode_value
 
 
 def test_mode_validation():
@@ -232,7 +232,7 @@ def test_distinct_spectrum_work_is_output_bounded(monkeypatch):
 
 
 def _merge_oracle(P: int, Q: int, count: int) -> list[tuple[int, list[tuple[int, int]]]]:
-    """The first `count` groups of `_merge(P, Q, count)`, by brute force.
+    """The first `count` values n/Q at x = P/Q with their modes, by brute force: [(n, [(k, q), ...]), ...].
 
     Every mode (k, q) up to a k bound with its exact numerator
     A Q + B P, grouped by numerator and ordered by numerator, then k, then
@@ -264,9 +264,10 @@ def _merge_oracle(P: int, Q: int, count: int) -> list[tuple[int, list[tuple[int,
 
 def _check_merge(P: int, Q: int, counts) -> None:
     oracle = _merge_oracle(P, Q, max(counts))
+    grouped = [(Fraction(n, Q), [Mode(k, q) for k, q in pairs]) for n, pairs in oracle]
     for count in counts:
-        assert berger._merge(P, Q, count) == oracle[:count]
         assert berger._modes(P, Q, count) == [(n, k, q) for n, pairs in oracle[:count] for k, q in pairs]
+        assert distinct_spectrum_at(Fraction(P, Q), count) == grouped[:count]
 
 
 # x = 1, also as 2/2, 7/7 and 10^6/10^6; x = 1 +- 1/Q; x far from 1 on both sides
@@ -314,7 +315,7 @@ def test_merge_matches_brute_force_at_large_slice_x(x, count):
 
 
 class _CountingHeapq:
-    """The heap functions `_merge` calls, counting calls and the largest heap seen."""
+    """The heap functions `_modes` calls, counting calls and the largest heap seen."""
 
     def __init__(self):
         self.calls = {"heappush": 0, "heapreplace": 0, "heappop": 0}
@@ -338,8 +339,8 @@ def test_a_one_column_merge_keeps_two_heap_entries(monkeypatch, r):
     x = cp2_slice(r).x
     counting = _CountingHeapq()
     monkeypatch.setattr(berger, "heapq", counting)
-    groups = berger._merge(x.numerator, x.denominator, 25)
-    assert [pairs for _, pairs in groups] == [[(k, 0)] for k in range(0, 50, 2)]
+    modes = berger._modes(x.numerator, x.denominator, 25)
+    assert [(k, q) for _, k, q in modes] == [(k, 0) for k in range(0, 50, 2)]
     assert (counting.calls["heappush"], counting.calls["heappop"], counting.largest) == (1, 0, 2)
 
 
@@ -352,8 +353,7 @@ def test_a_one_column_merge_keeps_two_heap_entries(monkeypatch, r):
 def test_merge_heap_holds_one_entry_per_open_column(monkeypatch, P, Q, count):
     counting = _CountingHeapq()
     monkeypatch.setattr(berger, "heapq", counting)
-    groups = berger._merge(P, Q, count)
-    top = max(q for _, pairs in groups for _, q in pairs)
+    top = max(q for _, _, q in berger._modes(P, Q, count))
     assert counting.largest == top + 2
     assert counting.calls["heappush"] == top + 1
     assert counting.calls["heappop"] == 0
@@ -365,8 +365,7 @@ def test_merge_heap_holds_one_entry_per_open_column(monkeypatch, P, Q, count):
 @settings(max_examples=30, deadline=None)
 @given(Q=st.integers(2**60 - 2**20, 2**60 + 2**20), side=st.sampled_from([1, -1]))
 def test_merge_matches_brute_force_grouping_next_to_one(Q, side):
-    groups = berger._merge(Q + side, Q, 120)
-    assert all(len(pairs) == 1 for _, pairs in groups)
+    assert len(berger._modes(Q + side, Q, 120)) == 120  # one mode per value
     _check_merge(Q + side, Q, [1, 2, 3, 5, 8, 13, 30, 60, 120])
 
 
@@ -374,21 +373,44 @@ def test_merge_matches_brute_force_grouping_next_to_one(Q, side):
 @given(P=st.integers(1, 40), Q=st.integers(1, 40), c=st.integers(2, 10**6), count=st.integers(1, 120))
 def test_merge_of_unreduced_pair_scales_the_reduced_one(P, Q, c, count):
     _check_merge(P, Q, [count])
-    want = [(c * n, pairs) for n, pairs in berger._merge(P, Q, count)]
-    assert berger._merge(c * P, c * Q, count) == want
+    want = [(c * n, k, q) for n, k, q in berger._modes(P, Q, count)]
+    assert berger._modes(c * P, c * Q, count) == want
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, 4, 7, 60, 201])
 def test_round_columns_are_the_merge_at_one_as_text(count):
-    groups = berger._merge(1, 1, count)
+    spectrum = spectrum_with_multiplicity(1, count)  # at x = 1 the value is its numerator
     want = (
-        [m for m, _ in groups],
-        [str(k * (k + 2) - q * q) for (k, q), *_ in (pairs for _, pairs in groups)],
-        [str(q * q) for (_, q), *_ in (pairs for _, pairs in groups)],
-        ["+".join(f"({k},{q})" for k, q in pairs) for _, pairs in groups],
-        [sum(map(berger._multiplicity, pairs)) for _, pairs in groups],
+        [value.numerator for value, _, _ in spectrum],
+        [str(modes[0].A) for _, _, modes in spectrum],
+        [str(modes[0].B) for _, _, modes in spectrum],
+        ["+".join(m.label() for m in modes) for _, _, modes in spectrum],
+        [multiplicity for _, multiplicity, _ in spectrum],
     )
     assert berger._round_columns(count) == want
+
+
+def _check_heat_trace(spectrum, t):
+    coarse, fine = heat_trace_error(spectrum, t, 0.02), heat_trace_error(spectrum, t, 0.01)
+    assert coarse < 1e-3
+    assert 3 < coarse / fine < 5  # the omitted term is O(s^2)
+
+
+# a generic t, a small rational t and t = 1, where `_round_columns` answers;
+# each last value is past 1.5 * 10^5, where e^{-0.01 lambda} is nothing
+@pytest.mark.parametrize("t, count", [("4/5", 60_000), ("0.47", 60_000), ("1", 400)])
+def test_berger_table_matches_the_heat_trace_expansion(t, count):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["berger", "--t", t, "--count", str(count), "--with-multiplicity", "--precision", "17"]) == 0
+    rows = csv.DictReader(l for l in out.getvalue().splitlines() if l and not l.startswith("#"))
+    _check_heat_trace([(float(r["value"]), int(r["multiplicity"])) for r in rows], float(Fraction(t)))
+
+
+def test_spectrum_with_multiplicity_matches_the_heat_trace_expansion():
+    t = Fraction(3, 4)  # the 2,000th value t v is past 5,000
+    spectrum = spectrum_with_multiplicity(1 / t**3, 2000)
+    _check_heat_trace([(float(t * v), m) for v, m, _ in spectrum], float(t))
 
 
 BREAKPOINTS = [
@@ -637,10 +659,9 @@ def test_slot_table_shape():
     assert slot_value_at(4, 17) == 8
     assert slot_value_at(1, 3) == 5
     assert slot_value_at(1, 10) == 8
-    with pytest.raises(ValueError):
-        slot_value_at(0, 1)
-    with pytest.raises(ValueError):
-        slot_value_at(12, 1)
+    for slot in (0, 12, True, 1.5, 2.0):  # a bool or a float is not a slot, even a whole one
+        with pytest.raises(ValueError, match=rf"slot must be in 1\.\.11, got {slot!r}$"):
+            slot_value_at(slot, 1)
 
 
 def _typed_slot_table():
@@ -720,6 +741,8 @@ def test_tanno_lambda1():
     right = tanno_lambda1(t_star * (1 + 1e-12))
     assert left == pytest.approx(right, rel=1e-9)
     assert tanno_lambda1(t_star) == pytest.approx(8 * t_star, rel=1e-12)
+    # t^-3 overflows a float here, and x is far past 6
+    assert tanno_lambda1(1e-110) == 8 * 1e-110
     with pytest.raises(ValueError):
         tanno_lambda1(0.0)
 
@@ -739,6 +762,7 @@ def test_epsilon_lambda1():
     assert epsilon_lambda1(2.0) == pytest.approx(2.25, rel=1e-12)
     assert epsilon_lambda1(0.1) == pytest.approx(8.0, rel=1e-12)
     assert epsilon_lambda1(1.0) == pytest.approx(3.0, rel=1e-12)
+    assert epsilon_lambda1(1e-300) == 8.0  # t = 1e-200, past the float range of t^-3
     with pytest.raises(ValueError):
         epsilon_lambda1(0.0)
 

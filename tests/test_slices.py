@@ -267,7 +267,7 @@ def test_the_merge_gets_the_exact_x(family):
             assert geom.x == _PAGE.x(r)
         calls = []
         with pytest.MonkeyPatch.context() as mp:
-            for module in (berger, slices):  # `slice_spectrum` merges through `_merge`, a row through `_modes`
+            for module in (berger, slices):  # both paths merge through `_slice_merge`; either module's merge is recorded
                 mp.setattr(module, "_modes", lambda P, Q, count: calls.append((P, Q, count)) or _modes(P, Q, count))
             try:
                 spectrum = slice_spectrum(geom, depth)
