@@ -12,7 +12,7 @@ breakpoints) are serialized as integer or "p/q" fraction strings; real
 columns honor --precision (default 12 digits, overridable through the
 BERGERSPEC_PRECISION environment variable).  CSV comment lines start
 with '#'.  Exit status: 0 success, 2 usage or domain error, 3 structural
-error (for example a Page root count other than two).
+error (a Page root count other than two), failed write or out of memory.
 
 Each handler returns a table of comments, field names and columns, one
 column per field, all of one length, which `emit` checks and writes.  A
@@ -49,7 +49,7 @@ from .berger import (  # noqa: F401  (distinct_spectrum_at, eleven_slot_table, s
     kth_distinct_piecewise,
     spectrum_with_multiplicity,
 )
-from .jacobi import IndexNullityReport, jacobi_shift
+from .jacobi import jacobi_shift
 from .page import (
     PageConfigError,
     PageConstants,
@@ -258,10 +258,6 @@ def _page_setup(args: SimpleNamespace) -> PageConstants:
     return page_constants(path=args.page_config) if args.page_config else _default_constants()
 
 
-def _index_row(r: float, report: IndexNullityReport) -> tuple:
-    return r, report.index, report.nullity, report.first_shifted, report.truncation_bound
-
-
 def handle_index(args: SimpleNamespace) -> Table:
     """Index and nullity rows at --r, along --scan, or the page --roots.
 
@@ -273,25 +269,27 @@ def handle_index(args: SimpleNamespace) -> Table:
     _check_count(args.depth, "--depth")
     if args.depth > MAX_DEPTH:
         raise ValueError(f"--depth must be at most {MAX_DEPTH}, got {args.depth}")
-    fields = ["r", "index", "nullity", "first_shifted", "bound"]
     if args.space == "cp2":
         if args.roots:
             raise ValueError("--roots applies only to the page family")
-        comments = ["cp2 geodesic spheres, Jacobi shift 3/2"]
-        radii = [args.r] if args.r is not None else _scan_grid(args.scan)
-        rows = [_index_row(r, slice_index_nullity(cp2_slice(r), args.depth)) for r in radii]
-        return comments, fields, list(zip(*rows))
-    consts = _page_setup(args)
-    r1, r2 = page_transition_roots(args.tol, consts)
-    comments = [
-        f"page family, Jacobi shift {consts.shift:.12g}",
-        f"certified roots (tol {args.tol:g}): r1 = {r1!r}, r2 = {r2!r}",
-    ]
-    if args.roots:
-        return comments, ["root", "r"], [["r1", "r2"], [r1, r2]]
-    radii = [args.r] if args.r is not None else _scan_grid(args.scan, upper=math.pi)
-    rows = [_index_row(r, page_index_nullity(r, args.depth, constants=consts)) for r in radii]
-    return comments, fields, list(zip(*rows))
+        comments, upper = ["cp2 geodesic spheres, Jacobi shift 3/2"], None
+        def report(r):
+            return slice_index_nullity(cp2_slice(r), args.depth)
+    else:
+        consts = _page_setup(args)
+        r1, r2 = page_transition_roots(args.tol, consts)
+        comments = [
+            f"page family, Jacobi shift {consts.shift:.12g}",
+            f"certified roots (tol {args.tol:g}): r1 = {r1!r}, r2 = {r2!r}",
+        ]
+        if args.roots:
+            return comments, ["root", "r"], [["r1", "r2"], [r1, r2]]
+        upper = math.pi
+        def report(r):
+            return page_index_nullity(r, args.depth, constants=consts)
+    radii = [args.r] if args.r is not None else _scan_grid(args.scan, upper)
+    rows = [(r, rep.index, rep.nullity, rep.first_shifted, rep.truncation_bound) for r in radii for rep in [report(r)]]
+    return comments, ["r", "index", "nullity", "first_shifted", "bound"], list(zip(*rows))
 
 
 def _scan_grid(scan: list[float], upper: float | None = None) -> list[float]:
@@ -582,19 +580,21 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         precision = _resolve_precision(args)
-        # looked up when called, so a handler rebound on the module runs
-        table = globals()[f"handle_{args.command}"](args)
+        table = globals()[f"handle_{args.command}"](args)  # looked up per call: a handler rebound on the module runs
+        try:
+            emit(table, args.format, precision, args.output)
+        except OSError as exc:
+            where = "stdout" if args.output is None else args.output
+            print(f"bergerspec: cannot write {where}: {exc}", file=sys.stderr)
+            return 3
     except (PageConfigError, PageStructureError) as exc:
         print(f"bergerspec: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"bergerspec: {exc}", file=sys.stderr)
         return 2
-    try:
-        emit(table, args.format, precision, args.output)
-    except OSError as exc:
-        where = "stdout" if args.output is None else args.output
-        print(f"bergerspec: cannot write {where}: {exc}", file=sys.stderr)
+    except MemoryError:  # from the handler or from `emit`
+        print("bergerspec: out of memory: the table of this request does not fit", file=sys.stderr)
         return 3
     return 0
 

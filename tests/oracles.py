@@ -10,6 +10,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 from bergerspec.berger import Mode, SpectrumEntry, _check_positive, _known_mode
@@ -55,6 +56,68 @@ def heat_trace_error(spectrum, t: float, s: float) -> float:
     z = math.fsum(m * math.exp(-lam * s) for lam, m in spectrum)
     w = (4 * math.pi * s) ** -1.5 * 2 * math.pi**2 * (1 + s / 6 * (8 * t - 2 * t**4))
     return abs(z / w - 1)
+
+
+# The left-invariant fields p -> p i, p j, p k of S^3 in the quaternions,
+# as linear fields on R^4: each term (s, a, b) is s x_a d/dx_b.
+_LEFT_FIELDS = (
+    ((-1, 1, 0), (1, 0, 1), (1, 3, 2), (-1, 2, 3)),  # X1 = -x1 d0 + x0 d1 + x3 d2 - x2 d3
+    ((-1, 2, 0), (-1, 3, 1), (1, 0, 2), (1, 1, 3)),  # X2 = -x2 d0 - x3 d1 + x0 d2 + x1 d3
+    ((-1, 3, 0), (1, 2, 1), (-1, 1, 2), (1, 0, 3)),  # X3 = -x3 d0 + x2 d1 - x1 d2 + x0 d3
+)
+
+
+def _apply_field(field, poly: dict) -> dict:
+    """The linear vector field applied to a polynomial {exponents: coefficient}."""
+    out = {}
+    for e, c in poly.items():
+        for s, a, b in field:
+            if e[b]:
+                f = list(e)
+                f[b] -= 1
+                f[a] += 1
+                f = tuple(f)
+                out[f] = out.get(f, 0) + s * e[b] * c
+    return out
+
+
+def laplacian_on_polynomials(t: Fraction, k: int) -> list[list[Fraction]]:
+    """The Laplacian of g_B^t on the homogeneous polynomials of degree k in R^4, as a matrix.
+
+    g_B^t = a(sigma_1^2 + sigma_2^2) + b sigma_3^2 with a = 1/t and b = t^2
+    is left-invariant on the unimodular group S^3, so its Laplacian is
+    -(1/a)(X1^2 + X2^2) - (1/b) X3^2 (Milnor, "Curvatures of left invariant
+    metrics on Lie groups", 1976): -t(X1^2 + X2^2) - t^-2 X3^2.  The X_i
+    are tangent to the spheres and linear, so they keep the degree; the
+    matrix acts on the monomial basis, exactly.  Nothing here reads a mode.
+    """
+    basis = [e for e in product(range(k + 1), repeat=4) if sum(e) == k]
+    row = {e: i for i, e in enumerate(basis)}
+    weights = (-t, -t, -1 / t**2)
+    M = [[Fraction(0)] * len(basis) for _ in basis]
+    for col, e in enumerate(basis):
+        for field, w in zip(_LEFT_FIELDS, weights):
+            for f, c in _apply_field(field, _apply_field(field, {e: 1})).items():
+                M[row[f]][col] += w * c
+    return M
+
+
+def kernel_dimension(M: list[list[Fraction]], lam: Fraction) -> int:
+    """dim ker (M - lam), by exact Gaussian elimination."""
+    rows = [[v - lam if i == j else v for j, v in enumerate(r)] for i, r in enumerate(M)]
+    rank = 0
+    for col in range(len(rows)):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][col]:
+                f = rows[i][col] / top[col]
+                rows[i] = [v - f * u for v, u in zip(rows[i], top)]
+        rank += 1
+    return len(rows) - rank
 
 
 def full_count(jacobi: list[SpectrumEntry], zero_tolerance: float, shift: float) -> tuple:

@@ -36,7 +36,14 @@ from bergerspec.berger import (
 from bergerspec.cli import main
 from bergerspec.page import page_slice
 from bergerspec.slices import cp2_slice
-from oracles import enumerate_modes, heat_trace_error, mode_multiplicity, mode_value
+from oracles import (
+    enumerate_modes,
+    heat_trace_error,
+    kernel_dimension,
+    laplacian_on_polynomials,
+    mode_multiplicity,
+    mode_value,
+)
 
 
 def test_mode_validation():
@@ -411,6 +418,26 @@ def test_spectrum_with_multiplicity_matches_the_heat_trace_expansion():
     t = Fraction(3, 4)  # the 2,000th value t v is past 5,000
     spectrum = spectrum_with_multiplicity(1 / t**3, 2000)
     _check_heat_trace([(float(t * v), m) for v, m, _ in spectrum], float(t))
+
+
+@pytest.mark.parametrize("t", [Fraction(2), Fraction(1, 2), Fraction(3, 5)])
+@pytest.mark.parametrize("k", range(5))
+def test_spectrum_with_multiplicity_matches_the_laplacian_on_polynomials(t, k):
+    # the degree-k polynomials restrict to S^3 as the harmonics of degree
+    # j = k, k - 2, ...: every value of a mode of such a degree is an
+    # eigenvalue of the matrix, with the summed multiplicity of those modes
+    x = 1 / t**3
+    M = laplacian_on_polynomials(t, k)
+    found = 0
+    for v, _, modes in spectrum_with_multiplicity(x, 100):
+        here = [m for m in modes if m.k <= k and (k - m.k) % 2 == 0]
+        if not here:
+            continue
+        assert all(t * (m.A + m.B * x) == t * v for m in modes)
+        dim = kernel_dimension(M, t * v)
+        assert dim == sum(berger._multiplicity((m.k, m.q)) for m in here), (v, here)
+        found += dim
+    assert found == len(M) == math.comb(k + 3, 3)
 
 
 BREAKPOINTS = [

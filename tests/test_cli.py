@@ -408,6 +408,38 @@ def test_negative_values_reach_the_domain_checks(capsys, argv, message):
     assert err == f"bergerspec: {message}\n"
 
 
+# every real-valued flag, at the place of "{}", with the words its refusals may name
+_REAL_FLAGS = [
+    ("berger --t {}", ("--t",)),
+    ("berger --epsilon {}", ("--epsilon",)),
+    ("piecewise --index 2 --xmax {}", ("--xmax",)),
+    ("piecewise --slot 1 --xmax {}", ("--xmax",)),
+    *[
+        (f"index {space} {flag}", ("radius", "slice parameter", "scan"))
+        for space in ("cp2", "page")
+        for flag in ("--r {}", "--scan {} 2 3", "--scan 0.5 {} 3")
+    ],
+    ("index page --roots --tol {}", ("tolerance",)),
+    ("index page --r 1 --tol {}", ("tolerance",)),
+]
+_EDGE_LITERALS = [
+    "0", "-0", "5e-324", "1e-320", "1e-300", "1e300", "1e308", "1.7976931348623157e308",
+    "nan", "inf", "-inf", "1e400", "1e-400", "7" * 400, "1e1000000",
+]
+
+
+@pytest.mark.parametrize("literal", _EDGE_LITERALS, ids=lambda text: text[:24])
+@pytest.mark.parametrize("template, names", _REAL_FLAGS, ids=[template for template, _ in _REAL_FLAGS])
+def test_an_edge_of_domain_literal_is_answered_or_refused_in_one_line(capsys, template, names, literal):
+    # a refusal names the flag or its parameter, and nothing is a traceback
+    code, out, err = run(capsys, *template.format(literal).split())
+    if code == 0:
+        assert err == ""
+    else:
+        assert (code, out, err.count("\n")) == (2, "", 1), (template, err)
+        assert any(name in err for name in names), (template, err)
+
+
 def test_a_dash_that_is_no_number_is_still_an_unknown_option(capsys):
     code, out, err = run(capsys, "index", "cp2", "--r", "-x")
     assert (code, out) == (2, "")
@@ -580,6 +612,19 @@ def test_a_failed_write_to_stdout_names_stdout(capsys, monkeypatch):
     assert (code, capsys.readouterr().err) == (
         3, "bergerspec: cannot write stdout: [Errno 28] No space left on device\n"
     )
+
+
+@pytest.mark.parametrize("name", ["handle_sphere", "emit"])
+def test_a_table_that_does_not_fit_in_memory_is_one_line_and_exit_3(capsys, monkeypatch, name):
+    # a stand-in for the MemoryError of a request such as --kmax 100000000000,
+    # which is never run here: without a memory cap it takes the machine's memory
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, name, out_of_memory)
+    code, out, err = run(capsys, "sphere", "--dim", "2", "--kmax", "3")
+    assert (code, out) == (3, "")
+    assert err == "bergerspec: out of memory: the table of this request does not fit\n"
 
 
 def test_precision_flag(capsys):
