@@ -83,45 +83,57 @@ def emit(table: Table, fmt: str, precision: int, output: str | None = None) -> N
 
     The table must hold one column per field, all of one length, and each
     column cells of exactly one type: str, written as it is; int, as its
-    `str`; or float, formatted to --precision significant digits (JSON
-    reads each text back with `float`).  Any other shape raises a
-    TypeError naming it, and any other column (bool, a subclass or mixed
-    types included) one naming the column and its cell types.  The checks,
-    the float formatting and, for CSV, the int texts come before the
-    output is opened, so a refused table writes no byte.
+    `str` (`%d`); or float, formatted to --precision significant digits
+    (`%.{precision}g`, the text of `format(v, ".{precision}g")`; JSON reads
+    each text back with `float`).  Any other shape raises a TypeError
+    naming it, and any other column (bool, a subclass or mixed types
+    included) one naming the column and its cell types.  An int column
+    whose largest or smallest cell has more digits than the interpreter
+    writes (`sys.get_int_max_str_digits()`) raises a ValueError naming the
+    column and the limit.  These checks, and for JSON the float texts,
+    come before the output is opened, so a refused table writes no byte.
 
     Rows are written in chunks of `_CHUNK` rows, so the text held beside
     the table is a few copies of one chunk's, not the whole output.  A CSV
-    chunk is its columns' slices, quoted by `_csv_fields` and joined, in
-    one write.  A JSON chunk is its rows as dicts, encoded as
-    `json.dumps(..., indent=2)` would by one `json.JSONEncoder` per table,
-    less the brackets; the chunks joined with ",\n" inside "[\n" ... "\n]\n"
-    are the bytes of one `json.dumps` of the whole table, and a table
-    without rows is "[]\n".
+    chunk is one write: its columns' slices, the str ones quoted by
+    `_csv_fields`, put through one `%` of the table's row format (each
+    column's spec, "%s" for str, joined by ',') repeated once per row, so
+    no column's text is built whole; a table of str columns alone, which
+    `%` would only copy, joins them into lines instead.  A JSON chunk is
+    its rows as dicts, encoded as `json.dumps(..., indent=2)` would by one
+    `json.JSONEncoder` per table, less the brackets; the chunks joined
+    with ",\n" inside "[\n" ... "\n]\n" are the bytes of one `json.dumps`
+    of the whole table, and a table without rows is "[]\n".
     """
     comments, fields, columns = table
-    lengths = [len(col) for col in columns]
+    lengths = list(map(len, columns))
     if len(columns) != len(fields) or len(set(lengths)) > 1:
         raise TypeError(
             f"a table needs one column per field, all of one length: "
             f"{len(fields)} fields, columns of lengths {lengths}"
         )
     as_json = fmt == "json"
-    real = f"{{:.{precision}g}}".format
     cols, strs = [], []  # strs: the positions of str columns, the only cells CSV may quote
+    specs = ["%s"] * len(columns)  # each column's % spec: "%s" for str
     for name, col in zip(fields, columns):
         kinds = set(map(type, col))
         kind = kinds.pop() if len(kinds) == 1 else None  # cheaper than `kinds == {str}`
         if kind is str or not col:
             strs.append(len(cols))
-            cols.append(col)
         elif kind is int:
-            cols.append(col if as_json else list(map(str, col)))
+            try:
+                str(max(col)), str(min(col))  # the longest text is one of the two
+            except ValueError:  # past the interpreter's limit on the digits of an int's text
+                limit = sys.get_int_max_str_digits()
+                raise ValueError(f"column {name!r} holds an int of more than {limit} digits, too long to print") from None
+            specs[len(cols)] = "%d"
         elif kind is float:
-            texts = list(map(real, col))
-            cols.append(list(map(float, texts)) if as_json else texts)
+            specs[len(cols)] = real = f"%.{precision}g"
+            if as_json:
+                col = list(map(float, map(real.__mod__, col)))
         else:
             raise TypeError(f"column {name!r} holds cells of type {sorted({type(c).__name__ for c in col})}")
+        cols.append(col)
     if as_json:
         import json  # only here: CSV requests do not pay for it
 
@@ -136,15 +148,23 @@ def emit(table: Table, fmt: str, precision: int, output: str | None = None) -> N
                 out.write(encode([dict(zip(fields, row)) for row in chunk])[2:-2])
             out.write("\n]\n" if rows else "[]\n")
         else:
-            for c in comments:
-                out.write(f"# {c}\n")
-            alone = len(fields) == 1
+            alone, width = len(fields) == 1, len(fields)
+            if comments:
+                out.write("# " + "\n# ".join(comments) + "\n")
             out.write(",".join(_csv_fields(fields, alone)) + "\n")
+            line = ",".join(specs) + "\n"  # the row format
             for lo in range(0, rows, _CHUNK):
-                texts = [col[lo : lo + _CHUNK] for col in cols]
+                part = [col[lo : lo + _CHUNK] for col in cols]
                 for j in strs:
-                    texts[j] = _csv_fields(texts[j], alone)
-                out.write("\n".join(map(",".join, zip(*texts))) + "\n")
+                    part[j] = _csv_fields(part[j], alone)
+                if len(strs) == width:  # text alone: joins cost less than a `%` of "%s"s
+                    out.write("\n".join(map(",".join, zip(*part))) + "\n")
+                    continue
+                n = len(part[0])
+                cells = [None] * (n * width)  # the chunk's cells, row by row
+                for j, col in enumerate(part):
+                    cells[j::width] = col
+                out.write(line * n % tuple(cells))
     finally:
         if out is not sys.stdout:
             out.close()
@@ -208,27 +228,29 @@ def handle_berger(args: SimpleNamespace) -> Table:
     _check_count(args.count, "--count")
     nums, *texts, multiplicities = _spectrum_columns(x, args.count)
     fields = ["n", "value", "A", "B", "mode"]
-    columns = [list(range(args.count)), _values(nums, scale, x.denominator), *texts]
+    values = _values(nums, scale.numerator, scale.denominator * x.denominator)
+    columns = [list(range(args.count)), values, *texts]
     if args.with_multiplicity:
         fields.append("multiplicity")
         columns.append(multiplicities)
     return comments, fields, columns
 
 
-def _values(nums: list[int], scale: Fraction, Q: int) -> list[float]:
-    """The floats of scale * m / Q for the numerators m, each correctly rounded.
+def _values(nums: list[int], num: int, den: int) -> list[float]:
+    """The floats num * m / den for the numerators m: true divisions of ints, correctly rounded.
 
     Only a large --t overflows: the first --count values of A + B x stay
     below about 4 count^2 for any x (the q = 0 modes do not depend on x).
     """
-    num, den = scale.numerator, scale.denominator * Q
-    values = []
-    for n, m in enumerate(nums):
-        try:
-            values.append(num * m / den)
-        except OverflowError:
-            raise ValueError(f"--t is too large: eigenvalue n = {n} overflows a float") from None
-    return values
+    try:
+        return [num * m / den for m in nums]
+    except OverflowError:
+        for n, m in enumerate(nums):  # the first value that overflows, for the message
+            try:
+                num * m / den
+            except OverflowError:
+                raise ValueError(f"--t is too large: eigenvalue n = {n} overflows a float") from None
+        raise
 
 
 def handle_piecewise(args: SimpleNamespace) -> Table:
@@ -319,11 +341,10 @@ def handle_plotdata(args: SimpleNamespace) -> Table:
         ]
         fields = ["t"] + [f"l{j}" for j in range(1, 12)]
         rows = []
-        for k in range(10, 241):
-            t = Fraction(k, 200)
-            x = 1 / t**3
-            nums = dict.fromkeys([n for n, _, _ in _modes(x.numerator, x.denominator, 12)])
-            rows.append((float(t), *_values([*nums][1:], t, x.denominator)))
+        for k in range(10, 241):  # t = k / 200: x = t^-3 = P / Q unreduced, and t m / Q = k m / (200 Q)
+            P, Q = 8_000_000, k**3
+            nums = dict.fromkeys([n for n, _, _ in _modes(P, Q, 12)])
+            rows.append((k / 200, *_values([*nums][1:], k, 200 * Q)))
         return comments, fields, list(zip(*rows))
     if args.figure == "fig2":
         comments = ["first Jacobi eigenvalue of the cp2 geodesic spheres: lambda_1(r) - 3/2"]

@@ -170,7 +170,8 @@ def cp2_lambda1(r: float) -> float:
     (3 + r^2)(1 + r^2)/r^2 for r <= sqrt(5) and 8(1 + r^2)/r^2 beyond.
     """
     geom = cp2_slice(r)
-    value = tanno_lambda1(geom.t) / geom.mu
+    t = geom.t  # one cube root: mu = f t
+    value = tanno_lambda1(t) / (geom.f * t)
     if value == math.inf:  # about 3 / f: it overflows for r below about 1.3e-154
         raise ValueError(f"radius r = {r!r} is too small: lambda_1 = {value!r} overflows")
     return value

@@ -236,6 +236,19 @@ def test_a_literal_past_the_digit_limit_is_one_line_naming_the_flag(capsys, argv
     assert err == f"bergerspec: error: {argv[-1]} needs more than {_DIGIT_LIMIT} digits to read exactly\n"
 
 
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="this interpreter prints ints of any length")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_an_int_cell_past_the_digit_limit_is_refused_before_the_first_byte(capsys, tmp_path, fmt):
+    # --dim reads, but the multiplicity of degree 2, about dim^2 / 2, has
+    # about twice its digits; JSON once wrote "[\n" before refusing it
+    argv = ["sphere", "--dim", "9" * (_DIGIT_LIMIT - 300), "--kmax", "2", "--format", fmt]
+    line = f"bergerspec: column 'multiplicity' holds an int of more than {_DIGIT_LIMIT} digits, too long to print\n"
+    assert run(capsys, *argv) == (2, "", line)
+    path = tmp_path / "table.out"
+    assert run(capsys, *argv, "--output", str(path)) == (2, "", line)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("slot", ["0", "12", "-1"])
 def test_piecewise_slot_out_of_range_names_the_flag(capsys, slot):
     code, out, err = run(capsys, "piecewise", "--slot", slot)

@@ -19,6 +19,8 @@ import io
 import json
 import math
 import re
+import struct
+import sys
 from fractions import Fraction
 
 import pytest
@@ -380,6 +382,52 @@ def test_emit_rejects_a_boolean_inside_an_int_column(fmt):
     columns = [[1, True, 3], [0.5, 1.5, 2.5]]
     with pytest.raises(TypeError, match=r"column 'n' holds cells of type \['bool', 'int'\]"):
         _emitted(([], ["n", "x"], columns), fmt, 12)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="ints of any length print")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_emit_refuses_an_int_past_the_digit_limit_before_the_output_opens(tmp_path, fmt, sign):
+    # the cell of most digits is the column's largest or its smallest; one
+    # of exactly the limit's digits is written
+    limit = sys.get_int_max_str_digits()
+    edge = sign * (10**limit - 1)
+    assert _emitted(([], ["n"], [[2, edge, 3]]), fmt, 12) == _former_emit(([], ["n"], [[2, edge, 3]]), fmt, 12)
+    table = (["c"], ["x", "n"], [[0.5, 1.5, 2.5], [2, sign * 10**limit, 3]])
+    path = tmp_path / "table.out"
+    message = f"column 'n' holds an int of more than {limit} digits, too long to print"
+    with pytest.raises(ValueError, match=message):
+        emit(table, fmt, 12, str(path))
+    assert not path.exists()
+
+
+def _float_of_bits(bits: int) -> float:
+    return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.225073858507201e-308, sys.float_info.max]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(
+            st.floats(),  # ±0.0, ±inf and nan among them
+            st.floats(min_value=-2.3e-308, max_value=2.3e-308),  # subnormals
+            st.integers(0, 2**64 - 1).map(_float_of_bits),  # any bit pattern
+        ),
+        min_size=1,
+        max_size=cli._CHUNK + 1,
+    )
+)
+@example(values=_SPECIAL_FLOATS)
+def test_emit_writes_each_float_as_its_format_at_every_precision(values):
+    # each chunk is one % of the row format; a float cell must read as
+    # format(v, ".{p}g") at every precision --precision accepts
+    table = ([], ["v", "n"], [values, list(range(len(values)))])
+    for p in range(1, cli.MAX_PRECISION + 1):
+        lines = _emitted(table, "csv", p).splitlines()
+        assert lines == ["v,n", *[f"{format(v, f'.{p}g')},{n}" for n, v in enumerate(values)]]
 
 
 _CELLS = {
