@@ -61,6 +61,8 @@ from .page import (
     page_transition_roots,
 )
 from .slices import (  # noqa: F401  (slice_spectrum: bench/tracing.py wraps it here)
+    CP2_AMBIENT,
+    DEFAULT_DEPTH,
     _slice_merge,
     cp2_lambda1,
     cp2_slice,
@@ -294,7 +296,7 @@ def handle_index(args: SimpleNamespace) -> Table:
     if args.space == "cp2":
         if args.roots:
             raise ValueError("--roots applies only to the page family")
-        comments, upper = ["cp2 geodesic spheres, Jacobi shift 3/2"], None
+        comments, upper = [f"cp2 geodesic spheres, Jacobi shift {Fraction(jacobi_shift(CP2_AMBIENT))}"], None
         def report(r):
             return slice_index_nullity(cp2_slice(r), args.depth)
     else:
@@ -347,8 +349,9 @@ def handle_plotdata(args: SimpleNamespace) -> Table:
             rows.append((k / 200, *_values([*nums][1:], k, 200 * Q)))
         return comments, fields, list(zip(*rows))
     if args.figure == "fig2":
-        comments = ["first Jacobi eigenvalue of the cp2 geodesic spheres: lambda_1(r) - 3/2"]
-        rows = [(k / 100, cp2_lambda1(k / 100) - 1.5) for k in range(5, 601)]
+        shift = jacobi_shift(CP2_AMBIENT)
+        comments = [f"first Jacobi eigenvalue of the cp2 geodesic spheres: lambda_1(r) - {Fraction(shift)}"]
+        rows = [(k / 100, cp2_lambda1(k / 100) - shift) for k in range(5, 601)]
         return comments, ["r", "jacobi_lambda1"], list(zip(*rows))
     consts = _page_setup(args)
     r1, r2 = page_transition_roots(1e-6, consts)
@@ -357,12 +360,10 @@ def handle_plotdata(args: SimpleNamespace) -> Table:
         f"transition roots: r1 = {r1!r}, r2 = {r2!r}",
     ]
     fields = ["r"] + [f"ev{j}" for j in range(1, 7)]
-    rows = []
+    rows, shift = [], consts.shift
     for k in range(1, 512):
         r = k * math.pi / 512
-        geom = page_slice(r, consts)
-        shift = jacobi_shift(geom.ambient)
-        modes, Q, f, _ = _slice_merge(geom, 6, shift)
+        modes, Q, f, _ = _slice_merge(page_slice(r, consts), 6, shift)
         rows.append((r, *[n / Q / f - shift for n in dict.fromkeys([n for n, _, _ in modes])]))
     return comments, fields, list(zip(*rows))
 
@@ -412,7 +413,7 @@ COMMANDS = {
         "--r": _Opt(float),
         "--scan": _Opt(float, nargs=3, help="RMIN RMAX STEPS: STEPS radii from RMIN to RMAX"),
         "--roots": _Opt(default=False, nargs=0, help="print the two page transition roots"),
-        "--depth": _Opt(int, 25, help=f"distinct values per row, at most {MAX_DEPTH}"),
+        "--depth": _Opt(int, DEFAULT_DEPTH, help=f"distinct values per row, at most {MAX_DEPTH}"),
         "--tol": _Opt(float, 1e-6),
         "--page-config": _PAGE_CONFIG,
         **_SHARED,

@@ -126,7 +126,8 @@ def index_nullity(
     `jacobi` holds the shifted values, ascending; a NaN among two or more
     of them has no place in that order and is refused with it.  The
     optional `shift` is used only to reconstruct the unshifted eigenvalue
-    column of the witnesses; pass the ambient's s/n when available.
+    column of the witnesses; pass the ambient's s/n when available.  Null
+    modes give the report the strict-counting note.
     """
     values = [e.value for e in jacobi]
     _check_positive(zero_tolerance, "zero_tolerance")
@@ -149,7 +150,9 @@ def _count_index_nullity(
     entries with one key are one eigenvalue: one witness, multiplicities
     summed.  The count stops at the first value not within zero_tolerance
     from above, so no later entry is read, and `multiplicity(item)` is
-    taken only for a counted entry.
+    taken only for a counted entry.  Null modes, those just below zero
+    included, give the report the note that strict counting makes them
+    nullity, not index.
     """
     index = nullity = 0
     witnesses: list[tuple[float, int, float]] = []
@@ -166,8 +169,9 @@ def _count_index_nullity(
             mult += witnesses.pop()[1]
         last = key
         witnesses.append((shifted + shift, mult, shifted))
+    notes = ("strict counting reports the near-zero modes as nullity, not index",) if nullity else ()
     return IndexNullityReport(
-        index=index, nullity=nullity, witnesses=tuple(witnesses), zero_tolerance=zero_tolerance, **report
+        index=index, nullity=nullity, witnesses=tuple(witnesses), zero_tolerance=zero_tolerance, notes=notes, **report
     )
 
 

@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 
 from .berger import _check_positive, _Record
-from .jacobi import EinsteinAmbient, IndexNullityReport
+from .jacobi import EinsteinAmbient, IndexNullityReport, jacobi_shift
 from .slices import DEFAULT_DEPTH, SliceGeometry, find_root_bisection, slice_index_nullity
 
 _CONFIG_RESOURCE = "data/page_constants.cfg"
@@ -61,8 +61,8 @@ class PageConstants(_Record):
 
     @property
     def shift(self) -> float:
-        """Jacobi shift s/4 = 3(1 + a^2)."""
-        return 3.0 * (1.0 + self.a2)
+        """Jacobi shift s/n of the ambient, 3(1 + a^2)."""
+        return jacobi_shift(self._ambient)
 
     def ambient(self) -> EinsteinAmbient:
         return self._ambient
@@ -295,20 +295,12 @@ def page_index_nullity(
     zero_tolerance: float | None = None,
     constants: PageConstants | None = None,
 ) -> IndexNullityReport:
-    """Strict Jacobi index/nullity of the slice at r.
+    """Strict Jacobi index/nullity of the slice at r (`slice_index_nullity`).
 
     At a transition root pass a zero_tolerance matched to the root
     certificate (slope times bisection tolerance), since the default
     1e-9-scale tolerance is far below the achievable eigenvalue residual
-    there.  When null modes are present the report carries a note that
-    strict counting assigns them to the nullity, not the index.
+    there.  A report with null modes notes that strict counting puts them
+    in the nullity, not the index.
     """
-    geom = page_slice(r, constants)
-    report = slice_index_nullity(geom, depth, zero_tolerance)
-    if report.nullity > 0:
-        note = (
-            "transition point: strict counting reports the near-zero modes "
-            "as nullity, not index"
-        )
-        report = report.replace(notes=report.notes + (note,))
-    return report
+    return slice_index_nullity(page_slice(r, constants), depth, zero_tolerance)

@@ -8,9 +8,10 @@ g_B^t with t = x^{-1/3}, so the slice Laplace spectrum is
 t (A + B x) / mu = (A + B x) / f per branch.
 
 The family implemented in this module is the geodesic spheres of the
-complex projective plane (f = r^2/(1+r^2), x = 1 + r^2, shift 3/2); the
-Page family lives in `page`.  Every family builds a SliceGeometry, and
-`slice_spectrum` and `slice_index_nullity` serve them all.
+complex projective plane (f = r^2/(1+r^2), x = 1 + r^2, shift s/n from
+`CP2_AMBIENT`); the Page family lives in `page`.  Every family builds a
+SliceGeometry, and `slice_spectrum` and `slice_index_nullity` serve them
+all.
 """
 
 from __future__ import annotations
@@ -129,7 +130,8 @@ def slice_index_nullity(
     the report prints, read from its modes: the counted prefix and the next
     mode, the second (n = 0 is the constant mode's alone) and the last, the
     truncation bound.  Only counted modes give a multiplicity, summed per
-    value.  The modes ascend from the zero eigenvalue, so the values do
+    value, and null modes give the report the counter's strict-counting
+    note.  The modes ascend from the zero eigenvalue, so the values do
     too, and neither is re-checked here.
     """
     shift = jacobi_shift(geom.ambient)

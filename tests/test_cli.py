@@ -572,6 +572,27 @@ def test_plotdata_fig2_value(capsys):
     assert float(at_one["jacobi_lambda1"]) == pytest.approx(6.5)
 
 
+def test_the_cp2_shift_in_index_and_fig2_is_the_ambients(capsys, monkeypatch):
+    # an ambient of s = 24 (s/n = 6): the comment lines, the rows and fig2 follow it
+    from bergerspec import slices
+    from bergerspec.jacobi import EinsteinAmbient
+
+    ambient = EinsteinAmbient(4, 24.0, "hypersurface", "CP^2")
+    monkeypatch.setattr(slices, "CP2_AMBIENT", ambient)
+    monkeypatch.setattr(cli, "CP2_AMBIENT", ambient)
+    code, out, _ = run(capsys, "index", "cp2", "--r", "1")
+    assert code == 0 and out.startswith("# cp2 geodesic spheres, Jacobi shift 6\n")
+    _, rows = csv_rows(out)
+    assert (rows[0]["index"], rows[0]["nullity"], rows[0]["first_shifted"]) == ("1", "0", "2")
+    code, out, _ = run(capsys, "plotdata", "fig2", "--precision", "17")
+    assert code == 0
+    assert out.startswith("# first Jacobi eigenvalue of the cp2 geodesic spheres: lambda_1(r) - 6\n")
+    _, rows = csv_rows(out)
+    assert len(rows) == 596
+    for row in rows:
+        assert float(row["jacobi_lambda1"]) == slices.cp2_lambda1(float(row["r"])) - 6.0
+
+
 def test_plotdata_fig1_round_column(capsys):
     code, out, _ = run(capsys, "plotdata", "fig1")
     assert code == 0

@@ -92,6 +92,18 @@ def test_index_nullity_counting():
     assert (rep.index, rep.nullity) == (0, 1)
 
 
+STRICT_NOTE = "strict counting reports the near-zero modes as nullity, not index"
+
+
+def test_a_report_with_null_modes_carries_the_strict_counting_note():
+    assert index_nullity([SpectrumEntry(0.0, 1)], 1e-9).notes == (STRICT_NOTE,)
+    # a mode just below zero, within the tolerance, is null too, and noted
+    rep = index_nullity([SpectrumEntry(-1.5, 1), SpectrumEntry(-1e-12, 4), SpectrumEntry(7.0, 3)], 1e-9)
+    assert (rep.index, rep.nullity, rep.notes) == (1, 4, (STRICT_NOTE,))
+    rep = index_nullity([SpectrumEntry(-1.5, 1), SpectrumEntry(6.5, 4)], 1e-9)
+    assert (rep.nullity, rep.notes) == (0, ())
+
+
 def test_index_nullity_report_fields():
     rep = index_nullity(
         [SpectrumEntry(-1.5, 1), SpectrumEntry(6.5, 4)],

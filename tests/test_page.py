@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bergerspec.jacobi import jacobi_shift
 from bergerspec.page import (
     PageConfigError,
     PageConstants,
@@ -69,6 +70,20 @@ def test_config_loads_and_validates(consts):
     a = consts.a
     assert abs(a**4 + 4 * a**3 - 6 * a**2 + 12 * a - 3) < 1e-12
     assert abs(consts.D**2 - consts.C) < 1e-12
+
+
+def test_the_shift_is_the_ambients_s_over_n(consts):
+    # 12(1 + a^2) / 4 is the float 3(1 + a^2): dividing by 4 is exact
+    assert consts.shift == 3.0 * (1.0 + consts.a * consts.a) == jacobi_shift(consts.ambient())
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.floats(min_value=math.sqrt(12.95 / 12 - 1), max_value=math.sqrt(12.96 / 12 - 1)))
+    def check(a):
+        assume(12.95 <= 12.0 * (1.0 + a * a) <= 12.96)
+        c = consts.replace(a=a)
+        assert c.shift == 3.0 * (1.0 + a * a) == jacobi_shift(c.ambient())
+
+    check()
 
 
 def test_sqrt_c_over_v_identity(consts):

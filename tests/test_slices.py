@@ -89,6 +89,21 @@ def test_cp2_lambda1_exact_rationals():
         cp2_lambda1_exact(Fraction(0))
 
 
+@settings(max_examples=200, deadline=None)
+@given(u=st.fractions(min_value=Fraction(1, 10**6), max_value=5, max_denominator=10**6))
+def test_cp2_lambda1_up_to_the_branch_point_is_u_plus_4_plus_3_over_u(u):
+    assert cp2_lambda1_exact(u) == u + 4 + 3 / u
+
+
+def test_cp2_lambda1_is_least_at_r_squared_root_3():
+    # u + 4 + 3/u is least at u = sqrt(3), where it is 4 + 2 sqrt(3)
+    grid = [Fraction(k, 1000) for k in range(1000, 3000)]
+    least = min(grid, key=cp2_lambda1_exact)
+    assert least == Fraction(1732, 1000)
+    assert cp2_lambda1_exact(least) < cp2_lambda1_exact(Fraction(2732, 1000))  # not at 1 + sqrt(3)
+    assert float(cp2_lambda1_exact(least)) == pytest.approx(4 + 2 * math.sqrt(3), rel=1e-7)
+
+
 def test_cp2_lambda1_pipeline_identity():
     rng = random.Random(11)
     for _ in range(50):
@@ -293,6 +308,16 @@ def test_tiny_synthetic_radius_is_the_same_domain_error_on_both_paths(r, depth):
         slice_spectrum(geom, depth)
     assert _assert_same_report(geom, depth) is None
     assert slice_spectrum(geom, depth - 1)[-1].value < math.inf
+
+
+def test_the_unit_equator_of_the_round_s4_is_null_in_its_first_eigenspace():
+    # the unit round S^3 in the round S^4: shift 12/4 = 3, its first eigenvalue,
+    # so the four first modes are null and the report notes the strict count
+    geom = synthetic_slice(math.pi / 2)
+    rep = slice_index_nullity(geom, 8)
+    assert (rep.index, rep.nullity) == (1, 4)
+    assert rep.notes == ("strict counting reports the near-zero modes as nullity, not index",)
+    assert _assert_same_report(geom, 8) == rep
 
 
 def test_slice_index_nullity_matches_at_the_page_roots():
