@@ -75,6 +75,8 @@ PRECISION_ENV = "BERGERSPEC_PRECISION"
 MAX_PRECISION = 30
 MAX_DEPTH = 10_000  # bounds --depth, the size of an index row's one merge
 _CHUNK = 64  # rows per write in `emit`
+# ints of at most this many bits are below 8^640, and 640 is the least digit limit Python allows (if it has one)
+_PRINT_BITS = 3 * getattr(sys.int_info, "str_digits_check_threshold", math.inf)
 
 
 Table = tuple[list[str], list[str], list[list | tuple]]  # comments, fieldnames, columns
@@ -92,7 +94,8 @@ def emit(table: Table, fmt: str, precision: int, output: str | None = None) -> N
     included) one naming the column and its cell types.  An int column
     whose largest or smallest cell has more digits than the interpreter
     writes (`sys.get_int_max_str_digits()`) raises a ValueError naming the
-    column and the limit.  These checks, and for JSON the float texts,
+    column and the limit (only a cell of more than `_PRINT_BITS` bits is
+    converted to find out).  These checks, and for JSON the float texts,
     come before the output is opened, so a refused table writes no byte.
 
     Rows are written in chunks of `_CHUNK` rows, so the text held beside
@@ -123,11 +126,13 @@ def emit(table: Table, fmt: str, precision: int, output: str | None = None) -> N
         if kind is str or not col:
             strs.append(len(cols))
         elif kind is int:
-            try:
-                str(max(col)), str(min(col))  # the longest text is one of the two
-            except ValueError:  # past the interpreter's limit on the digits of an int's text
-                limit = sys.get_int_max_str_digits()
-                raise ValueError(f"column {name!r} holds an int of more than {limit} digits, too long to print") from None
+            hi, lo = max(col), min(col)  # the longest text is one of the two
+            if hi.bit_length() > _PRINT_BITS or lo.bit_length() > _PRINT_BITS:
+                try:
+                    str(hi), str(lo)
+                except ValueError:  # past the interpreter's limit on the digits of an int's text
+                    limit = sys.get_int_max_str_digits()
+                    raise ValueError(f"column {name!r} holds an int of more than {limit} digits, too long to print") from None
             specs[len(cols)] = "%d"
         elif kind is float:
             specs[len(cols)] = real = f"%.{precision}g"
@@ -296,7 +301,7 @@ def handle_index(args: SimpleNamespace) -> Table:
     if args.space == "cp2":
         if args.roots:
             raise ValueError("--roots applies only to the page family")
-        comments, upper = [f"cp2 geodesic spheres, Jacobi shift {Fraction(jacobi_shift(CP2_AMBIENT))}"], None
+        comments, upper = [f"cp2 geodesic spheres, Jacobi shift {_ratio_text(jacobi_shift(CP2_AMBIENT))}"], None
         def report(r):
             return slice_index_nullity(cp2_slice(r), args.depth)
     else:
@@ -314,6 +319,12 @@ def handle_index(args: SimpleNamespace) -> Table:
     radii = [args.r] if args.r is not None else _scan_grid(args.scan, upper)
     rows = [(r, rep.index, rep.nullity, rep.first_shifted, rep.truncation_bound) for r in radii for rep in [report(r)]]
     return comments, ["r", "index", "nullity", "first_shifted", "bound"], list(zip(*rows))
+
+
+def _ratio_text(value: float) -> str:
+    """str(Fraction(value)) of a finite float: "p/q", or "p" when q = 1."""
+    p, q = value.as_integer_ratio()
+    return f"{p}/{q}" if q > 1 else f"{p}"
 
 
 def _scan_grid(scan: list[float], upper: float | None = None) -> list[float]:
@@ -350,7 +361,7 @@ def handle_plotdata(args: SimpleNamespace) -> Table:
         return comments, fields, list(zip(*rows))
     if args.figure == "fig2":
         shift = jacobi_shift(CP2_AMBIENT)
-        comments = [f"first Jacobi eigenvalue of the cp2 geodesic spheres: lambda_1(r) - {Fraction(shift)}"]
+        comments = [f"first Jacobi eigenvalue of the cp2 geodesic spheres: lambda_1(r) - {_ratio_text(shift)}"]
         rows = [(k / 100, cp2_lambda1(k / 100) - shift) for k in range(5, 601)]
         return comments, ["r", "jacobi_lambda1"], list(zip(*rows))
     consts = _page_setup(args)

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .berger import _check_positive, _Record
 from .jacobi import EinsteinAmbient, IndexNullityReport, jacobi_shift
-from .slices import DEFAULT_DEPTH, SliceGeometry, find_root_bisection, slice_index_nullity
+from .slices import DEFAULT_DEPTH, SliceGeometry, _exact_slice, find_root_bisection, slice_index_nullity
 
 _CONFIG_RESOURCE = "data/page_constants.cfg"
 
@@ -101,15 +101,23 @@ class PageConstants(_Record):
 
     def x(self, r: float) -> Fraction:
         """Squash coordinate t^{-3} = (f V / D^2) / sin^2 r, exact in the floats f V / D^2 and sin r."""
-        return self._f_x(r)[1]
+        return Fraction(*self._f_x(r)[1:])
 
-    def _f_x(self, r: float) -> tuple[float, Fraction]:  # (f(r), x(r)) from one `_sine` and one `PQ`
+    def _f_x(self, r: float) -> tuple[float, int, int]:
+        """(f(r), P, Q) with x(r) = P/Q in lowest terms, from one `_sine`, one `PQ` and one gcd.
+
+        With f V / D^2 = n/d and sin r = sn/sd, d and sd are powers of 2 and
+        x = n 2^e / sn^2.  2^|e| joins the side whose partner is odd (sn^2 if
+        e > 0, n if e < 0), so only gcd(n, sn^2) cancels.
+        """
         s = self._sine(r)
         P, Q = self.PQ(r)
         f = self.f_const * P
         n, d = (f * (P / Q) / (self.D * self.D)).as_integer_ratio()
         sn, sd = s.as_integer_ratio()
-        return f, Fraction(n * sd * sd, d * sn * sn)
+        e, s2 = 2 * sd.bit_length() - d.bit_length() - 1, sn * sn
+        g = math.gcd(n, s2)
+        return (f, n // g << e, s2 // g) if e >= 0 else (f, n // g, s2 // g << -e)
 
     def t(self, r: float) -> float:
         """Squash parameter U^{-2/3} (D sin r)^{2/3} f^{-1/3}."""
@@ -241,8 +249,7 @@ def _default_constants() -> PageConstants:
 def page_slice(r: float, constants: PageConstants | None = None) -> SliceGeometry:
     """The totally geodesic Berger sphere at parameter r in (0, pi)."""
     c = constants or _default_constants()
-    f, x = c._f_x(r)
-    return SliceGeometry(r=r, f=f, x=x, ambient=c._ambient)
+    return _exact_slice(r, *c._f_x(r), c._ambient)
 
 
 def page_shifted_lambda1(r: float, constants: PageConstants | None = None) -> float:
@@ -278,11 +285,12 @@ def page_transition_roots(
             f"expected exactly 2 zeros of the shifted first eigenvalue, found {c.root_count}"
         )
 
-    f_const, D, shift, PQ, sin = c.f_const, c.D, c.shift, c.PQ, math.sin  # bound once per call
+    a2, f_const, D, shift, cos, sin = c.a2, c.f_const, c.D, c.shift, math.cos, math.sin  # bound once per call
+    q2 = a2 * (1.0 + a2)
 
     def cleared(r: float) -> float:  # the value times f_const P Q D^2 sin^2 r > 0, finite at 0
-        P, Q = PQ(r)
-        s = sin(r)
+        k, s = cos(r), sin(r)
+        P, Q = 1.0 - a2 * k * k, 3.0 - a2 - q2 * k * k  # `PQ(r)`, inlined: the bisection's hot step
         return f_const * P * P + Q * D * D * s * s * (2.0 - shift * f_const * P)
 
     r1 = find_root_bisection(cleared, 0.0, math.pi / 2, tol)

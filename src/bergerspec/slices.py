@@ -2,10 +2,10 @@
 
 A slice here is a 3-sphere carrying a left-invariant metric
 f (sigma_1^2 + sigma_2^2) + (f / x) sigma_3^2 inside an Einstein ambient,
-stored as the float f and the exact squash coordinate x.  Dividing by
-the volume factor mu = f t turns it into the unit-volume Berger metric
-g_B^t with t = x^{-1/3}, so the slice Laplace spectrum is
-t (A + B x) / mu = (A + B x) / f per branch.
+stored as the float f and the exact squash coordinate x = P/Q, a pair of
+coprime ints.  Dividing by the volume factor mu = f t turns it into the
+unit-volume Berger metric g_B^t with t = x^{-1/3}, so the slice Laplace
+spectrum is t (A + B x) / mu = (A + B x) / f per branch.
 
 The family implemented in this module is the geodesic spheres of the
 complex projective plane (f = r^2/(1+r^2), x = 1 + r^2, shift s/n from
@@ -16,6 +16,7 @@ all.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from fractions import Fraction
@@ -47,7 +48,12 @@ DEFAULT_DEPTH = 25
 
 
 class SliceGeometry(_Record):
-    """One slice f (sigma_1^2 + sigma_2^2) + (f / x) sigma_3^2 at parameter r, with x = t^{-3} exact."""
+    """One slice f (sigma_1^2 + sigma_2^2) + (f / x) sigma_3^2 at parameter r, with x = t^{-3} exact.
+
+    x is held as the coprime ints P, Q > 0 of x = P/Q that the merge
+    (`_modes`) runs on, and the field `x` is their Fraction, built when
+    first read (`_exact_slice` builds none).
+    """
 
     _fields = ("r", "f", "x", "ambient")
 
@@ -59,12 +65,17 @@ class SliceGeometry(_Record):
                 f"slice parameter r = {r!r} is out of range: "
                 f"coefficient {name} = {value!r} is not finite and positive"
             )
-        self.__dict__.update(r=r, f=f, x=x, ambient=ambient)
+        self.__dict__.update(r=r, f=f, x=x, P=x.numerator, Q=x.denominator, ambient=ambient)
+
+    @functools.cached_property
+    def x(self) -> Fraction:
+        """The exact squash coordinate P/Q."""
+        return Fraction(self.P, self.Q)
 
     @property
     def t(self) -> float:
         """Berger squash parameter x^{-1/3} of the unit-volume normalization."""
-        n, d = self.x.numerator, self.x.denominator
+        n, d = self.P, self.Q
         k = max(0, (n.bit_length() - d.bit_length()) // 3)  # float(x) may overflow; x / 8^k < 16 cannot
         return math.ldexp((n / (d << 3 * k)) ** (-1.0 / 3.0), -k)
 
@@ -72,6 +83,15 @@ class SliceGeometry(_Record):
     def mu(self) -> float:
         """Volume normalization factor f t."""
         return self.f * self.t
+
+
+def _exact_slice(r: float, f: float, P: int, Q: int, ambient: EinsteinAmbient) -> SliceGeometry:
+    """SliceGeometry(r, f, Fraction(P, Q), ambient) for coprime ints P and Q > 0, with no Fraction built."""
+    if not (0 < f < math.inf and P > 0):
+        return SliceGeometry(r, f, Fraction(P, Q), ambient)  # the constructor's domain error
+    geom = object.__new__(SliceGeometry)
+    geom.__dict__.update(r=r, f=f, P=P, Q=Q, ambient=ambient)
+    return geom
 
 
 def slice_spectrum(geom: SliceGeometry, depth: int = DEFAULT_DEPTH) -> list[SpectrumEntry]:
@@ -97,7 +117,7 @@ def slice_spectrum(geom: SliceGeometry, depth: int = DEFAULT_DEPTH) -> list[Spec
 
 
 def _slice_merge(geom: SliceGeometry, depth: int, shift: float) -> tuple:
-    """`_modes(P, Q, depth)` at the slice's x = P/Q, with Q, f and the last shifted value.
+    """`_modes(P, Q, depth)` at the slice's pair x = P/Q, with Q, f and the last shifted value.
 
     Mode (n, k, q) has value n / Q / f - shift.  The float n / Q of two
     ints is correctly rounded, and so are / f and - shift, so the values
@@ -106,8 +126,8 @@ def _slice_merge(geom: SliceGeometry, depth: int, shift: float) -> tuple:
     would pass certification.
     """
     _check_count(depth, "depth")
-    Q, f = geom.x.denominator, geom.f
-    modes = _modes(geom.x.numerator, Q, depth)
+    Q, f = geom.Q, geom.f
+    modes = _modes(geom.P, Q, depth)
     bound = modes[-1][0] / Q / f - shift
     if not math.isfinite(bound):
         raise ValueError(
@@ -159,9 +179,8 @@ def cp2_slice(r: float) -> SliceGeometry:
     if r2 == 0.0 or r2 == math.inf:
         fault = "underflows to 0" if r2 == 0.0 else "overflows a float"
         raise ValueError(f"slice parameter r = {r!r} is out of range: r^2 {fault}")
-    n, d = r.as_integer_ratio()  # x = 1 + r^2 = (n^2 + d^2) / d^2, in lowest terms
-    x = Fraction(n * n + d * d, d * d)
-    return SliceGeometry(r=r, f=r2 / (1.0 + r2), x=x, ambient=CP2_AMBIENT)
+    n, d = r.as_integer_ratio()  # x = 1 + r^2 = (n^2 + d^2) / d^2, coprime as n and d are: no gcd
+    return _exact_slice(r, r2 / (1.0 + r2), n * n + d * d, d * d, CP2_AMBIENT)
 
 
 def cp2_lambda1(r: float) -> float:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from bergerspec import cli
 from bergerspec.cli import _scan_grid, build_parser, main
+from bergerspec.jacobi import EinsteinAmbient, jacobi_shift
 from oracles import json_problem
 
 
@@ -591,6 +592,11 @@ def test_the_cp2_shift_in_index_and_fig2_is_the_ambients(capsys, monkeypatch):
     assert len(rows) == 596
     for row in rows:
         assert float(row["jacobi_lambda1"]) == slices.cp2_lambda1(float(row["r"])) - 6.0
+
+
+@pytest.mark.parametrize("s", [1.5, 6.0, -1.5, 0.1, jacobi_shift(EinsteinAmbient(4, 24.0, "hypersurface", "CP^2"))])
+def test_the_shift_text_is_the_fraction_of_the_float(s):
+    assert cli._ratio_text(s) == str(Fraction(s))
 
 
 def test_plotdata_fig1_round_column(capsys):

@@ -401,6 +401,30 @@ def test_emit_refuses_an_int_past_the_digit_limit_before_the_output_opens(tmp_pa
     assert not path.exists()
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="ints of any length print")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("limit", [None, 640], ids=["default", "least"])  # 640: the least limit Python allows
+def test_emit_decides_the_digit_limit_alike_on_both_sides_of_the_bit_length_test(tmp_path, fmt, limit):
+    # a column whose extremes have at most `_PRINT_BITS` bits is written
+    # unconverted, and a wider one is converted; the largest and the smallest
+    # cell are each checked, at exactly the limit's digits and at one more
+    former = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit or former)
+    try:
+        limit = sys.get_int_max_str_digits()
+        at, past, bits = 10**limit - 1, 10**limit, 2**cli._PRINT_BITS
+        for col in ([bits - 1, 1 - bits], [bits, -bits], [at, -at], [-at, 0], [0, at]):
+            assert _emitted(([], ["n"], [col]), fmt, 12) == _former_emit(([], ["n"], [col]), fmt, 12)
+        for col in ([past, -at], [at, -past], [past, 0], [0, -past]):
+            path = tmp_path / "table.out"
+            message = f"^column 'n' holds an int of more than {limit} digits, too long to print$"
+            with pytest.raises(ValueError, match=message):
+                emit(([], ["n"], [col]), fmt, 12, str(path))
+            assert not path.exists()
+    finally:
+        sys.set_int_max_str_digits(former)
+
+
 def _float_of_bits(bits: int) -> float:
     return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
 

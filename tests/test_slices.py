@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bergerspec import berger, slices
+from bergerspec import berger, cli, page, slices
 from bergerspec.berger import Mode, _modes, _multiplicity, distinct_spectrum_at, tanno_lambda1
 from bergerspec.jacobi import EinsteinAmbient, IndexNullityReport, index_nullity, jacobi_shift, jacobi_spectrum
 from bergerspec.page import page_constants, page_slice, page_transition_roots
@@ -265,6 +265,64 @@ def test_slice_index_nullity_matches_the_composed_pipeline(family):
         _assert_same_report(geom, depth, zero_tolerance)
 
     check()
+
+
+def _assert_the_pair_is_x_in_lowest_terms(geom):
+    assert "x" not in vars(geom)  # no Fraction until x is read
+    twin = SliceGeometry(geom.r, geom.f, Fraction(geom.P, geom.Q), geom.ambient)
+    assert repr(geom) == repr(twin) and geom == twin and hash(geom) == hash(twin)
+    assert math.gcd(geom.P, geom.Q) == 1 and geom.P > 0 and geom.Q > 0
+    assert (geom.P, geom.Q) == (geom.x.numerator, geom.x.denominator) == (twin.P, twin.Q)
+
+
+_EDGES = st.one_of(  # within 1e-9 of an end of (0, pi)
+    st.floats(min_value=0, max_value=1e-9, exclude_min=True),
+    st.floats(min_value=math.pi - 1e-9, max_value=math.pi, exclude_max=True),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(r=st.floats(min_value=1e-3, max_value=1e3))
+@example(r=1.34e154)
+@example(r=1.6e-162)
+def test_a_cp2_slice_holds_x_as_its_coprime_pair(r):
+    _assert_the_pair_is_x_in_lowest_terms(cp2_slice(r))
+
+
+@settings(max_examples=200, deadline=None)
+@given(r=st.one_of(_FAMILIES["page"][0], _EDGES))
+@example(r=1e-9)
+@example(r=math.pi - 1e-9)
+def test_a_page_slice_holds_x_as_its_coprime_pair(r):
+    try:
+        geom = page_slice(r, _PAGE)
+    except ValueError:  # D^2 sin^2 r underflows at the very ends of the range
+        assert r < 1e-150
+        return
+    _assert_the_pair_is_x_in_lowest_terms(geom)
+    P, Q = _PAGE.PQ(r)  # x = (f V / D^2) / sin^2 r, exact in the two floats
+    assert geom.x == _PAGE.x(r) == Fraction(geom.f * (P / Q) / (_PAGE.D * _PAGE.D)) / Fraction(math.sin(r)) ** 2
+
+
+@pytest.mark.parametrize("space, scan", [("cp2", ["0.05", "3", "40"]), ("page", ["0.1", "3.0", "40"])])
+def test_an_index_scan_builds_no_fraction_in_the_slice_layers(tmp_path, space, scan):
+    class Counted(Fraction):
+        made = 0
+
+        def __new__(cls, *args, **kwargs):
+            Counted.made += 1
+            return super().__new__(cls, *args, **kwargs)
+
+    argv = ["index", space, "--scan", *scan, "--output", str(tmp_path / "rows.csv")]
+    assert cli.main(argv) == 0  # the first request loads and certifies the packaged constants
+    first = (tmp_path / "rows.csv").read_text()
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (slices, page):
+            mp.setattr(module, "Fraction", Counted)
+        assert cli.main(argv) == 0
+    assert (tmp_path / "rows.csv").read_text() == first
+    assert len([line for line in first.splitlines() if not line.startswith("#")]) == 41  # the header and 40 rows
+    assert Counted.made == 0
 
 
 @pytest.mark.parametrize("family", sorted(_FAMILIES))
